@@ -72,14 +72,17 @@
 //!   (see [`soak::run_scenario`] and `docs/SCENARIOS.md`).
 //! * **Two solve paths, one scheduler** — [`nash::DeepScheduler`] keeps
 //!   the paper's dense path (per-member |R|×|D| bimatrix support
-//!   enumeration, full-replay joint refinement) for paper-sized
-//!   testbeds and switches to the fleet-scale sparse path — direct
-//!   payoff scans over a reusable workspace, rayon-parallel per-device
-//!   pricing, prefix-context incremental refinement, and
-//!   `deep-game`'s sparse potential descent for the wave warm starts —
-//!   when `|R|·|D|` reaches [`nash::DeepScheduler::sparse_threshold`]
-//!   (default [`nash::DEFAULT_SPARSE_THRESHOLD`]). Both paths produce
-//!   byte-identical schedules (`tests/fleet_solver.rs`); the default
+//!   enumeration) for paper-sized testbeds and switches to the
+//!   fleet-scale sparse path — direct payoff scans over a reusable
+//!   workspace, rayon-parallel per-device pricing and `deep-game`'s
+//!   sparse potential descent for the wave warm starts — when `|R|·|D|`
+//!   reaches [`nash::DeepScheduler::sparse_threshold`]
+//!   (default [`nash::DEFAULT_SPARSE_THRESHOLD`]). Both paths certify
+//!   their stage-game picks as best responses and share one
+//!   barrier-order walker for the equilibrium checks and the joint
+//!   refinement, whose walk is skipped when a certified profile leaves
+//!   the warm start unmoved. Both paths produce byte-identical
+//!   schedules (`tests/fleet_solver.rs`); the default
 //!   threshold keeps every paper-sized testbed on the dense path
 //!   bit-for-bit. [`continuum::synthetic_fleet_testbed`] scales the
 //!   calibrated continuum to 10³ seeded-heterogeneous devices for the

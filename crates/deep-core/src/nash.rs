@@ -13,12 +13,12 @@
 //!    the energy-minimal one.
 //! 2. **Joint refinement** — the per-stage choices induce an n-player
 //!    congestion game (same-wave pulls share registry→device routes, and
-//!    sibling images share layers). Best-response dynamics over the full
-//!    profile — a potential game, so it terminates — polish the sequential
-//!    solution into a pure Nash equilibrium of the joint deployment game.
+//!    sibling images share layers). One best-response walk in barrier
+//!    order makes the profile a pure Nash equilibrium of it, skipped when
+//!    the stage games certified a profile the warm start left alone.
 //!    This is where the prisoner's-dilemma structure bites: two
-//!    microservices that would individually pick the same route are pushed
-//!    to split across registries.
+//!    microservices that would individually pick the same route are
+//!    pushed to split across registries.
 //!
 //! Both layers run over the *whole mesh*: the registry side of every
 //! strategy ranges over [`Testbed::registry_choices`] (the paper pair plus
@@ -59,19 +59,22 @@
 //!   dynamics (proven in `deep-game`'s parity tests) but touching only
 //!   the deviator's resource subset per candidate.
 //!
-//! The joint refinement and equilibrium checks evaluate unilateral
-//! deviations *incrementally* on both paths: a member's payoff depends
-//! only on placements committed strictly before it in the barrier walk,
-//! so one prefix replay per member prices every candidate directly —
-//! float-identical to the seed's full-profile replays at 1/n-th the
-//! walks. A 1,000-device, 10-registry synthetic fleet
+//! Refinement, exact cost and both equilibrium checks are one walker
+//! (`DeepScheduler::walk`); stage games certify their pick (sparse: by
+//! construction; dense: the chosen cell is within 1e-9 of the
+//! bimatrix's maximum). The walk reproduces the seed's multi-pass
+//! `app.ids()`-order refinement (a test oracle); the two could part
+//! only when ids are not depth-sorted *and* candidates tie within 1e-9.
+//! A 1,000-device, 10-registry synthetic fleet
 //! ([`crate::continuum::synthetic_fleet_testbed`]) solves in well under
 //! a second (`examples/fleet_scale.rs`, PERF.md).
 
 use crate::model::{EstimationContext, ScenarioPricing};
 use crate::Scheduler;
 use deep_dataflow::{stages, Application, MicroserviceId};
-use deep_game::{support_enumeration, Bimatrix, CongestionGame, DescentWorkspace, Matrix};
+use deep_game::{
+    support_enumeration, Bimatrix, CongestionGame, DescentWorkspace, Matrix, MixedStrategy,
+};
 use deep_netsim::{DeviceId, RegistryId, Seconds};
 use deep_simulator::{route_key, PeerDiscovery, Placement, RegistryChoice, Schedule, Testbed};
 use rayon::prelude::*;
@@ -240,10 +243,10 @@ pub struct RepairOutcome {
 pub const DEFAULT_SPARSE_THRESHOLD: usize = 64;
 
 /// Reused buffers for the hot solve loop: per-member admissible-device
-/// lists, the flat stage-game payoff grid the rayon workers fill, and
-/// the sparse-descent counters. One workspace serves a whole
-/// [`Scheduler::schedule`] call across members, waves and refinement
-/// rounds; steady state allocates nothing (asserted in this module's
+/// lists, the flat stage-game payoff grid the rayon workers fill, the
+/// walker's per-member costs and the sparse-descent counters. One
+/// workspace serves a whole [`Scheduler::schedule`] call across members,
+/// waves and walks; steady state allocates nothing (asserted in this module's
 /// tests via capacity/pointer stability, the gf256 idiom).
 #[derive(Debug, Default)]
 struct FleetWorkspace {
@@ -251,8 +254,21 @@ struct FleetWorkspace {
     devices: Vec<DeviceId>,
     /// Flat payoff/cost grid, device-major: `payoffs[d * R + r]`.
     payoffs: Vec<f64>,
+    /// Per-member (by id) committed cost of the last walk.
+    costs: Vec<f64>,
     /// Load counters + dirty queue for the sparse potential descent.
     descent: DescentWorkspace,
+}
+
+/// Which unilateral deviations [`DeepScheduler::walk`] prices.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Deviations {
+    /// None: the walk only prices the profile (its exact cost).
+    None,
+    /// Each member's full `registries × devices` grid.
+    All,
+    /// `per_member` seeded draws per member.
+    Sampled { per_member: usize, seed: u64 },
 }
 
 /// The DEEP scheduler.
@@ -261,8 +277,10 @@ pub struct DeepScheduler {
     /// Run the joint best-response refinement after the sequential stage
     /// games (ablation toggle; `true` is the paper's method).
     pub refine: bool,
-    /// Cap on refinement passes (each pass lets every microservice revise
-    /// once; congestion games converge long before this).
+    /// Cap on best-response passes of the congestion warm start's descent
+    /// and of [`DeepScheduler::incremental_repair`]'s wave-game dynamics
+    /// (congestion games converge long before this). The joint
+    /// refinement is a single walk and needs no cap.
     pub max_refine_passes: usize,
     /// Price peer-cache split pulls in the payoffs — set this iff the
     /// executor will run with
@@ -404,38 +422,42 @@ impl DeepScheduler {
         testbed.registry_choices().len() * testbed.devices.len() >= self.sparse_threshold
     }
 
-    /// Play the per-microservice stage games in barrier order.
+    /// Play the per-microservice stage games in barrier order. Returns
+    /// the profile and whether every stage game certified its cell (then
+    /// the refinement walk, pricing the same prefixes, would not move it).
     fn sequential_assignment(
         &self,
         app: &Application,
         testbed: &Testbed,
         ws: &mut FleetWorkspace,
-    ) -> Vec<Placement> {
+    ) -> (Vec<Placement>, bool) {
         let mut ctx = self.context(testbed, app);
         let mut placements: Vec<Option<Placement>> = vec![None; app.len()];
+        let mut certified = true;
         for stage in stages(app) {
             ctx.begin_wave();
             for &id in &stage.members {
                 ctx.prefetch_manifests(id);
-                let placement = self.stage_game(&ctx, testbed, id, ws);
+                let (placement, best_response) = self.stage_game(&ctx, testbed, id, ws);
+                certified &= best_response;
                 ctx.commit(id, placement);
                 placements[id.0] = Some(placement);
             }
         }
-        placements.into_iter().map(|p| p.expect("all stages visited")).collect()
+        (placements.into_iter().map(|p| p.expect("all stages visited")).collect(), certified)
     }
 
     /// Solve one microservice's |R|×|D| common-interest game over every
     /// mesh registry × admissible device: dense support enumeration
     /// below the sparse threshold (the seed path, bit for bit), the
-    /// parallel scan above it.
+    /// parallel scan above it. Returns the cell and its certificate.
     fn stage_game(
         &self,
         ctx: &EstimationContext<'_>,
         testbed: &Testbed,
         id: MicroserviceId,
         ws: &mut FleetWorkspace,
-    ) -> Placement {
+    ) -> (Placement, bool) {
         let registries = ctx.registry_choices();
         ctx.admissible_devices_into(id, &mut ws.devices);
         assert!(
@@ -443,26 +465,17 @@ impl DeepScheduler {
             "no device admits microservice {id}: the testbed cannot host the application"
         );
         if self.fleet_scale(testbed) {
-            return Self::stage_game_sparse(ctx, id, &registries, ws);
+            // The `<=` scan lands on a global minimum: certified by
+            // construction.
+            return (Self::stage_game_sparse(ctx, id, &registries, ws), true);
         }
         let devices = &ws.devices;
         let payoff = Matrix::from_fn(registries.len(), devices.len(), |r, c| {
             -ctx.estimate(id, registries[r], devices[c]).ec.as_f64()
         });
         let game = Bimatrix::common_interest(payoff);
-        let equilibria = support_enumeration(&game);
-        // Among the Nash equilibria, cooperation selects the one with the
-        // best shared payoff (= minimum energy); mixed profiles round to
-        // their modal pure strategies.
-        let (x, y) = equilibria
-            .into_iter()
-            .max_by(|a, b| {
-                let pa = game.expected_payoffs(&a.0, &a.1).0;
-                let pb = game.expected_payoffs(&b.0, &b.1).0;
-                pa.partial_cmp(&pb).expect("payoffs are not NaN")
-            })
-            .expect("common-interest games always have a pure equilibrium");
-        Placement { registry: registries[x.mode()], device: devices[y.mode()] }
+        let ((r, c), certified) = select_equilibrium(&game, support_enumeration(&game));
+        (Placement { registry: registries[r], device: devices[c] }, certified)
     }
 
     /// The fleet-scale stage game: payoff evaluation fans out across
@@ -499,62 +512,6 @@ impl DeepScheduler {
             }
         }
         Placement { registry: registries[best.1], device: ws.devices[best.2] }
-    }
-
-    /// Replay `profile`'s barrier walk up to (but not including)
-    /// `target`'s commit and return the context frozen there.
-    ///
-    /// This is the incremental-deviation keystone: a member's payoff
-    /// depends only on the placements committed *strictly before* it in
-    /// the walk (its own wave's earlier members load this wave's
-    /// routes; earlier waves shape the caches, peer snapshots and
-    /// clock), and its own deviation never changes that prefix. So
-    /// `profile_costs(probe)[target]` for any probe differing from
-    /// `profile` only at `target` equals a direct
-    /// [`EstimationContext::estimate`] against this context —
-    /// float-identical, one `O(members)` walk instead of one per
-    /// candidate.
-    fn context_at<'t>(
-        &self,
-        app: &'t Application,
-        testbed: &'t Testbed,
-        profile: &[Placement],
-        target: MicroserviceId,
-    ) -> EstimationContext<'t> {
-        let mut ctx = self.context(testbed, app);
-        for stage in stages(app) {
-            ctx.begin_wave();
-            for &id in &stage.members {
-                if id == target {
-                    ctx.prefetch_manifests(target);
-                    return ctx;
-                }
-                ctx.commit(id, profile[id.0]);
-            }
-        }
-        unreachable!("target microservice not in the application")
-    }
-
-    /// Evaluate every microservice's estimated energy under a full
-    /// profile, replaying the stage walk under this scheduler's
-    /// configuration.
-    fn profile_costs(
-        &self,
-        app: &Application,
-        testbed: &Testbed,
-        profile: &[Placement],
-    ) -> Vec<f64> {
-        let mut ctx = self.context(testbed, app);
-        let mut costs = vec![0.0; app.len()];
-        for stage in stages(app) {
-            ctx.begin_wave();
-            for &id in &stage.members {
-                let p = profile[id.0];
-                costs[id.0] = ctx.estimate(id, p.registry, p.device).ec.as_f64();
-                ctx.commit(id, p);
-            }
-        }
-        costs
     }
 
     /// The per-wave explicit Rosenthal games of a profile: each wave's
@@ -630,8 +587,9 @@ impl DeepScheduler {
         if out == profile {
             return out;
         }
-        let exact = |p: &[Placement]| -> f64 { self.profile_costs(app, testbed, p).iter().sum() };
-        if exact(&out) < exact(profile) - 1e-9 {
+        if self.exact_cost(app, testbed, &out, ws)
+            < self.exact_cost(app, testbed, profile, ws) - 1e-9
+        {
             out
         } else {
             profile.to_vec()
@@ -645,11 +603,11 @@ impl DeepScheduler {
     /// admitted, an outage window opening or clearing — the incumbent
     /// equilibrium is usually *almost* right, and repairing it against
     /// the delta is far cheaper than replaying the sequential stage
-    /// games plus the full-replay joint refinement. The repair
-    /// warm-starts best-response dynamics from the incumbent inside
-    /// each wave's explicit Rosenthal game ([`WaveRouteGame`]) — closed
-    /// form per-resource costs, no support enumeration, no O(n²)
-    /// profile replays — counting every unilateral deviation taken.
+    /// games plus the joint refinement. The repair warm-starts
+    /// best-response dynamics from the incumbent inside each wave's
+    /// explicit Rosenthal game ([`WaveRouteGame`]) — closed form
+    /// per-resource costs, no support enumeration, no candidate-grid
+    /// walk — counting every unilateral deviation taken.
     /// The repaired profile is adopted only if it strictly improves the
     /// exact total cost (the same guard as the congestion warm start),
     /// so repairing an incumbent that is still an equilibrium is an
@@ -734,9 +692,10 @@ impl DeepScheduler {
             }
         }
         if out != profile {
-            let exact =
-                |p: &[Placement]| -> f64 { self.profile_costs(app, testbed, p).iter().sum() };
-            if exact(&out) >= exact(&profile) - 1e-9 {
+            let ws = &mut FleetWorkspace::default();
+            if self.exact_cost(app, testbed, &out, ws)
+                >= self.exact_cost(app, testbed, &profile, ws) - 1e-9
+            {
                 // The wave-game moves don't pay under the exact payoffs
                 // — keep the incumbent (the seed-parity guard).
                 out = profile;
@@ -746,60 +705,115 @@ impl DeepScheduler {
         RepairOutcome { schedule: Schedule::new(out), deviations, fell_back: false }
     }
 
-    /// Joint best-response refinement to a pure Nash equilibrium.
-    ///
-    /// Candidate deviations are priced incrementally: one prefix replay
-    /// per member ([`DeepScheduler::context_at`]) prices every
-    /// `(registry, device)` candidate with a direct estimate —
-    /// float-identical to the seed's per-candidate full-profile replays
-    /// (the member's payoff never depends on its own or later commits),
-    /// at `O(members)` walks per pass instead of `O(members² ×
-    /// candidates)`. On the fleet-scale path the candidate grid fans
-    /// out across devices on the rayon pool; the selection scan stays
-    /// serial so the dense tie-breaks (first strict improvement in
-    /// registry-major order) are preserved exactly.
+    /// The joint refinement: the congestion warm start, then one
+    /// best-response walk unless the certified sequential profile came
+    /// out of the warm start unmoved (the walk would not move it).
     fn refine_joint(
         &self,
         app: &Application,
         testbed: &Testbed,
-        mut profile: Vec<Placement>,
+        sequential: Vec<Placement>,
+        certified: bool,
         ws: &mut FleetWorkspace,
     ) -> Vec<Placement> {
-        if self.congestion_warm_start {
-            profile = self.potential_warm_start(app, testbed, &profile, ws);
+        let mut profile = if self.congestion_warm_start {
+            self.potential_warm_start(app, testbed, &sequential, ws)
+        } else {
+            sequential.clone()
+        };
+        if !certified || profile != sequential {
+            self.walk(app, testbed, &mut profile, Deviations::All, ws);
         }
+        profile
+    }
+
+    /// The barrier-order best-response walker behind the joint
+    /// refinement, the exact cost and both equilibrium checks: one live
+    /// context walks `stages(app)`, moves each member to its best
+    /// response among `deviations` (first strict improvement,
+    /// registry-major) and commits it; returns the number of moves. A
+    /// member's payoff depends only on placements committed *strictly
+    /// before* it, so the live context prices a deviation exactly as a
+    /// full-profile replay would, and each move is final once made.
+    fn walk(
+        &self,
+        app: &Application,
+        testbed: &Testbed,
+        profile: &mut [Placement],
+        deviations: Deviations,
+        ws: &mut FleetWorkspace,
+    ) -> usize {
         let registries = testbed.registry_choices();
+        let r_count = registries.len();
         let fleet = self.fleet_scale(testbed);
-        for _ in 0..self.max_refine_passes {
-            let mut changed = false;
-            for id in app.ids() {
-                let ctx = self.context_at(app, testbed, &profile, id);
+        let mut ctx = self.context(testbed, app);
+        ws.costs.clear();
+        ws.costs.resize(app.len(), 0.0);
+        let mut moves = 0;
+        for stage in stages(app) {
+            ctx.begin_wave();
+            for &id in &stage.members {
                 let current = profile[id.0];
-                let current_cost = ctx.estimate(id, current.registry, current.device).ec.as_f64();
-                Self::candidate_costs(&ctx, id, &registries, fleet, ws);
-                let mut best = (current_cost, current);
-                for (ri, &registry) in registries.iter().enumerate() {
-                    for (di, &device) in ws.devices.iter().enumerate() {
-                        let candidate = Placement { registry, device };
-                        if candidate == current {
-                            continue;
+                if deviations != Deviations::None {
+                    ctx.prefetch_manifests(id);
+                }
+                let mut best =
+                    (ctx.estimate(id, current.registry, current.device).ec.as_f64(), current);
+                let mut consider = |candidate: Placement, cost: f64| {
+                    if candidate != current && cost < best.0 - 1e-9 {
+                        best = (cost, candidate);
+                    }
+                };
+                match deviations {
+                    Deviations::None => {}
+                    Deviations::All => {
+                        Self::candidate_costs(&ctx, id, &registries, fleet, ws);
+                        for (ri, &registry) in registries.iter().enumerate() {
+                            for (di, &device) in ws.devices.iter().enumerate() {
+                                consider(
+                                    Placement { registry, device },
+                                    ws.payoffs[di * r_count + ri],
+                                );
+                            }
                         }
-                        let cost = ws.payoffs[di * registries.len() + ri];
-                        if cost < best.0 - 1e-9 {
-                            best = (cost, candidate);
+                    }
+                    Deviations::Sampled { per_member, seed } => {
+                        ctx.admissible_devices_into(id, &mut ws.devices);
+                        // Draws follow `app.ids()` order at two splitmix64
+                        // steps each: skip the earlier ids' steps.
+                        let skipped = SPLITMIX_GAMMA.wrapping_mul((2 * per_member * id.0) as u64);
+                        let mut state = seed.wrapping_add(skipped);
+                        let mut draw = |n: usize| (splitmix64(&mut state) % n as u64) as usize;
+                        for _ in 0..per_member {
+                            let registry = registries[draw(r_count)];
+                            let device = ws.devices[draw(ws.devices.len())];
+                            let cost = ctx.estimate(id, registry, device).ec.as_f64();
+                            consider(Placement { registry, device }, cost);
                         }
                     }
                 }
-                if best.1 != profile[id.0] {
+                if best.1 != current {
+                    moves += 1;
                     profile[id.0] = best.1;
-                    changed = true;
                 }
-            }
-            if !changed {
-                break;
+                ws.costs[id.0] = best.0;
+                ctx.commit(id, profile[id.0]);
             }
         }
-        profile
+        moves
+    }
+
+    /// The exact total estimated energy of `profile`: a cost-only walk,
+    /// summed in `app.ids()` order (the seed's rounding).
+    fn exact_cost(
+        &self,
+        app: &Application,
+        testbed: &Testbed,
+        profile: &[Placement],
+        ws: &mut FleetWorkspace,
+    ) -> f64 {
+        self.walk(app, testbed, &mut profile.to_vec(), Deviations::None, ws);
+        ws.costs.iter().sum()
     }
 
     /// Fill `ws.payoffs` (device-major) with `id`'s estimated energy for
@@ -839,29 +853,8 @@ impl DeepScheduler {
         testbed: &Testbed,
         schedule: &Schedule,
     ) -> bool {
-        let profile: Vec<Placement> = app.ids().map(|id| schedule.placement(id)).collect();
-        let registries = testbed.registry_choices();
-        for id in app.ids() {
-            // One prefix replay prices every deviation of this member
-            // (float-identical to the seed's per-candidate full
-            // replays; see `context_at`).
-            let ctx = self.context_at(app, testbed, &profile, id);
-            let devices = ctx.admissible_devices(id);
-            let p = profile[id.0];
-            let current = ctx.estimate(id, p.registry, p.device).ec.as_f64();
-            for &registry in &registries {
-                for &device in &devices {
-                    let candidate = Placement { registry, device };
-                    if candidate == p {
-                        continue;
-                    }
-                    if ctx.estimate(id, registry, device).ec.as_f64() < current - 1e-9 {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
+        let mut profile: Vec<Placement> = app.ids().map(|id| schedule.placement(id)).collect();
+        self.walk(app, testbed, &mut profile, Deviations::All, &mut FleetWorkspace::default()) == 0
     }
 
     /// Equilibrium check over a seeded sample of unilateral deviations
@@ -870,8 +863,9 @@ impl DeepScheduler {
     /// candidates per member, while a few dozen seeded samples per
     /// member already catch a non-equilibrium with overwhelming
     /// probability (any improving deviation that exists is sampled
-    /// uniformly). Deterministic in `seed` (splitmix64 stream); the
-    /// member's current placement resamples to a no-op.
+    /// uniformly). Deterministic in `seed` (splitmix64 stream, drawn
+    /// member by member in `app.ids()` order); the member's current
+    /// placement resamples to a no-op.
     pub fn is_equilibrium_sampled(
         &self,
         app: &Application,
@@ -880,27 +874,9 @@ impl DeepScheduler {
         deviations_per_member: usize,
         seed: u64,
     ) -> bool {
-        let profile: Vec<Placement> = app.ids().map(|id| schedule.placement(id)).collect();
-        let registries = testbed.registry_choices();
-        let mut state = seed;
-        for id in app.ids() {
-            let ctx = self.context_at(app, testbed, &profile, id);
-            let devices = ctx.admissible_devices(id);
-            let p = profile[id.0];
-            let current = ctx.estimate(id, p.registry, p.device).ec.as_f64();
-            for _ in 0..deviations_per_member {
-                let registry =
-                    registries[(splitmix64(&mut state) % registries.len() as u64) as usize];
-                let device = devices[(splitmix64(&mut state) % devices.len() as u64) as usize];
-                if (Placement { registry, device }) == p {
-                    continue;
-                }
-                if ctx.estimate(id, registry, device).ec.as_f64() < current - 1e-9 {
-                    return false;
-                }
-            }
-        }
-        true
+        let deviations = Deviations::Sampled { per_member: deviations_per_member, seed };
+        let mut profile: Vec<Placement> = app.ids().map(|id| schedule.placement(id)).collect();
+        self.walk(app, testbed, &mut profile, deviations, &mut FleetWorkspace::default()) == 0
     }
 
     /// Is `profile` a pure Nash equilibrium of the joint deployment game
@@ -919,9 +895,9 @@ impl Scheduler for DeepScheduler {
 
     fn schedule(&self, app: &Application, testbed: &Testbed) -> Schedule {
         let mut ws = FleetWorkspace::default();
-        let sequential = self.sequential_assignment(app, testbed, &mut ws);
+        let (sequential, certified) = self.sequential_assignment(app, testbed, &mut ws);
         let profile = if self.refine {
-            self.refine_joint(app, testbed, sequential, &mut ws)
+            self.refine_joint(app, testbed, sequential, certified, &mut ws)
         } else {
             sequential
         };
@@ -929,12 +905,36 @@ impl Scheduler for DeepScheduler {
     }
 }
 
+/// DEEP's pick among a common-interest stage game's equilibria: the best
+/// shared payoff (= minimum energy), mixed profiles rounded to their
+/// modal pure strategies. Certified iff no cell's cost (negated payoff)
+/// undercuts the pick's by more than 1e-9, the walk's own move test.
+fn select_equilibrium(
+    game: &Bimatrix,
+    equilibria: Vec<(MixedStrategy, MixedStrategy)>,
+) -> ((usize, usize), bool) {
+    let (x, y) = equilibria
+        .into_iter()
+        .max_by(|a, b| {
+            let pa = game.expected_payoffs(&a.0, &a.1).0;
+            let pb = game.expected_payoffs(&b.0, &b.1).0;
+            pa.partial_cmp(&pb).expect("payoffs are not NaN")
+        })
+        .expect("common-interest games always have a pure equilibrium");
+    let cell = (x.mode(), y.mode());
+    // Payoffs are never NaN (asserted above), so `>=` negates the walk's `<`.
+    (cell, -game.a.max() >= -game.a[cell] - 1e-9)
+}
+
+/// The splitmix64 state increment: one step adds it once.
+const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// The splitmix64 step — the seeded stream behind
 /// [`DeepScheduler::is_equilibrium_sampled`]'s deviation draws and the
 /// synthetic fleet's heterogeneity jitter (no ambient RNG anywhere in
 /// the solve path).
 fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    *state = state.wrapping_add(SPLITMIX_GAMMA);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -1017,7 +1017,12 @@ mod tests {
             let refined = DeepScheduler::paper().schedule(&app, &tb);
             let cost = |s: &Schedule| -> f64 {
                 let profile: Vec<Placement> = app.ids().map(|id| s.placement(id)).collect();
-                DeepScheduler::paper().profile_costs(&app, &tb, &profile).iter().sum()
+                DeepScheduler::paper().exact_cost(
+                    &app,
+                    &tb,
+                    &profile,
+                    &mut FleetWorkspace::default(),
+                )
             };
             // Best-response refinement follows the exact potential of the
             // congestion game, which here equals each player's own cost
@@ -1164,7 +1169,7 @@ mod tests {
         assert!(out.deviations > 0, "repair must move off the contended profile");
         let exact = |s: &Schedule| -> f64 {
             let p: Vec<Placement> = app.ids().map(|id| s.placement(id)).collect();
-            sched.profile_costs(&app, &tb, &p).iter().sum()
+            sched.exact_cost(&app, &tb, &p, &mut FleetWorkspace::default())
         };
         assert!(
             exact(&out.schedule) < exact(&contended) - 1e-9,
@@ -1205,58 +1210,59 @@ mod tests {
         // The hot fleet loop must not allocate in steady state: after a
         // warm solve has sized the workspace, a second solve through the
         // same workspace reuses every buffer in place (the `gf256`
-        // fingerprint idiom — pointer and capacity both pinned).
+        // fingerprint idiom — pointer and capacity both pinned). The
+        // refinement walk runs with the certificate skip forced off, so
+        // it is pinned too.
         let tb = calibrated_testbed();
         let app = apps::text_processing();
         let sched = DeepScheduler { sparse_threshold: 1, ..DeepScheduler::paper() };
         let mut ws = FleetWorkspace::default();
-        let warm = sched.sequential_assignment(&app, &tb, &mut ws);
-        let warm = sched.refine_joint(&app, &tb, warm, &mut ws);
-        let fp = (
-            ws.payoffs.as_ptr(),
-            ws.payoffs.capacity(),
-            ws.devices.as_ptr(),
-            ws.devices.capacity(),
-        );
-        let again = sched.sequential_assignment(&app, &tb, &mut ws);
-        let again = sched.refine_joint(&app, &tb, again, &mut ws);
-        assert_eq!(warm, again, "workspace reuse must not change the schedule");
-        assert_eq!(
-            fp,
+        let solve = |ws: &mut FleetWorkspace| {
+            let (sequential, _) = sched.sequential_assignment(&app, &tb, ws);
+            sched.refine_joint(&app, &tb, sequential, false, ws)
+        };
+        let fingerprint = |ws: &FleetWorkspace| {
             (
-                ws.payoffs.as_ptr(),
-                ws.payoffs.capacity(),
-                ws.devices.as_ptr(),
-                ws.devices.capacity()
-            ),
-            "steady-state solve reallocated a workspace buffer"
-        );
+                (ws.payoffs.as_ptr(), ws.payoffs.capacity()),
+                (ws.devices.as_ptr(), ws.devices.capacity()),
+                (ws.costs.as_ptr(), ws.costs.capacity()),
+            )
+        };
+        let warm = solve(&mut ws);
+        let fp = fingerprint(&ws);
+        assert_eq!(warm, solve(&mut ws), "workspace reuse must not change the schedule");
+        assert_eq!(fp, fingerprint(&ws), "steady-state solve reallocated a workspace buffer");
     }
 
     #[test]
     fn parallel_candidate_costs_match_serial_exactly() {
-        // fleet.rs::rayon_must_not_change_results, one level down: the
-        // rayon fan-out over devices must price every (registry, device)
+        // fleet.rs::rayon_must_not_change_results, one level down: at
+        // every member of the walker's live barrier context, the rayon
+        // fan-out over devices must price every (registry, device)
         // candidate bit-for-bit like the serial map.
         let tb = calibrated_testbed();
         let sched = DeepScheduler::paper();
         let registries = tb.registry_choices();
         for app in apps::case_studies() {
             let schedule = sched.schedule(&app, &tb);
-            let profile: Vec<Placement> = app.ids().map(|id| schedule.placement(id)).collect();
-            for id in app.ids() {
-                let ctx = sched.context_at(&app, &tb, &profile, id);
-                let mut serial = FleetWorkspace::default();
-                let mut parallel = FleetWorkspace::default();
-                DeepScheduler::candidate_costs(&ctx, id, &registries, false, &mut serial);
-                DeepScheduler::candidate_costs(&ctx, id, &registries, true, &mut parallel);
-                assert_eq!(serial.devices, parallel.devices, "{} {id:?}", app.name());
-                assert_eq!(
-                    serial.payoffs.iter().map(|c| c.to_bits()).collect::<Vec<_>>(),
-                    parallel.payoffs.iter().map(|c| c.to_bits()).collect::<Vec<_>>(),
-                    "{} {id:?}",
-                    app.name()
-                );
+            let mut ctx = sched.context(&tb, &app);
+            for stage in stages(&app) {
+                ctx.begin_wave();
+                for &id in &stage.members {
+                    ctx.prefetch_manifests(id);
+                    let mut serial = FleetWorkspace::default();
+                    let mut parallel = FleetWorkspace::default();
+                    DeepScheduler::candidate_costs(&ctx, id, &registries, false, &mut serial);
+                    DeepScheduler::candidate_costs(&ctx, id, &registries, true, &mut parallel);
+                    assert_eq!(serial.devices, parallel.devices, "{} {id:?}", app.name());
+                    assert_eq!(
+                        serial.payoffs.iter().map(|c| c.to_bits()).collect::<Vec<_>>(),
+                        parallel.payoffs.iter().map(|c| c.to_bits()).collect::<Vec<_>>(),
+                        "{} {id:?}",
+                        app.name()
+                    );
+                    ctx.commit(id, schedule.placement(id));
+                }
             }
         }
     }
@@ -1276,6 +1282,289 @@ mod tests {
         let contended = Schedule::uniform(app.len(), RegistryChoice::Hub, DEVICE_MEDIUM);
         assert!(!sched.is_equilibrium(&app, &tb, &contended));
         assert!(!sched.is_equilibrium_sampled(&app, &tb, &contended, 64, 7));
+    }
+
+    /// The oracles' prefix replay: `profile`'s barrier walk up to (not
+    /// including) `target`'s commit, one fresh context per call.
+    fn oracle_context<'t>(
+        sched: &DeepScheduler,
+        app: &'t Application,
+        tb: &'t Testbed,
+        profile: &[Placement],
+        target: MicroserviceId,
+    ) -> EstimationContext<'t> {
+        let mut ctx = sched.context(tb, app);
+        for stage in stages(app) {
+            ctx.begin_wave();
+            for &id in &stage.members {
+                if id == target {
+                    return ctx;
+                }
+                ctx.commit(id, profile[id.0]);
+            }
+        }
+        unreachable!("target microservice not in the application")
+    }
+
+    /// The refinement the walker replaced, kept as its oracle:
+    /// Gauss–Seidel best-response passes in `app.ids()` order, each
+    /// member priced by direct estimates against a fresh prefix replay,
+    /// until a pass moves nobody.
+    fn oracle_refine(
+        sched: &DeepScheduler,
+        app: &Application,
+        tb: &Testbed,
+        mut profile: Vec<Placement>,
+    ) -> Vec<Placement> {
+        let registries = tb.registry_choices();
+        for _ in 0..sched.max_refine_passes {
+            let mut changed = false;
+            for target in app.ids() {
+                let ctx = oracle_context(sched, app, tb, &profile, target);
+                let current = profile[target.0];
+                let price = |p: Placement| ctx.estimate(target, p.registry, p.device).ec.as_f64();
+                let mut best = (price(current), current);
+                for &registry in &registries {
+                    for device in ctx.admissible_devices(target) {
+                        let candidate = Placement { registry, device };
+                        let cost = price(candidate);
+                        if candidate != current && cost < best.0 - 1e-9 {
+                            best = (cost, candidate);
+                        }
+                    }
+                }
+                changed |= best.1 != current;
+                profile[target.0] = best.1;
+            }
+            if !changed {
+                break;
+            }
+        }
+        profile
+    }
+
+    /// The sampled check the walker replaced, kept as its oracle: one
+    /// splitmix64 stream drawn member by member in `app.ids()` order,
+    /// each member priced against a fresh prefix replay.
+    fn oracle_sampled(
+        sched: &DeepScheduler,
+        app: &Application,
+        tb: &Testbed,
+        profile: &[Placement],
+        per_member: usize,
+        seed: u64,
+    ) -> bool {
+        let registries = tb.registry_choices();
+        let mut state = seed;
+        for id in app.ids() {
+            let ctx = oracle_context(sched, app, tb, profile, id);
+            let devices = ctx.admissible_devices(id);
+            let price = |p: Placement| ctx.estimate(id, p.registry, p.device).ec.as_f64();
+            let current = profile[id.0];
+            for _ in 0..per_member {
+                let registry =
+                    registries[(splitmix64(&mut state) % registries.len() as u64) as usize];
+                let device = devices[(splitmix64(&mut state) % devices.len() as u64) as usize];
+                let candidate = Placement { registry, device };
+                if candidate != current && price(candidate) < price(current) - 1e-9 {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    #[test]
+    fn sampled_check_draws_the_oracles_deviations() {
+        // One draw per member over the equilibrium with one sink moved
+        // off its best cell: whether a seed catches an improving
+        // deviation depends on exactly which cells it draws, so
+        // agreeing on every seed — with both verdicts occurring — pins
+        // the draw sequence.
+        let tb = calibrated_testbed();
+        let app = apps::text_processing();
+        let sched = DeepScheduler::paper();
+        let equilibrium = sched.schedule(&app, &tb);
+        let mut profile: Vec<Placement> = app.ids().map(|id| equilibrium.placement(id)).collect();
+        profile[app.by_name("la-score").unwrap().0] =
+            Placement { registry: RegistryChoice::Hub, device: DEVICE_MEDIUM };
+        let perturbed = Schedule::new(profile.clone());
+        let verdicts: Vec<bool> = (0..64)
+            .map(|seed| {
+                let walked = sched.is_equilibrium_sampled(&app, &tb, &perturbed, 1, seed);
+                assert_eq!(walked, oracle_sampled(&sched, &app, &tb, &profile, 1, seed), "{seed}");
+                walked
+            })
+            .collect();
+        assert!(verdicts.contains(&true) && verdicts.contains(&false), "{verdicts:?}");
+    }
+
+    /// Walker ≡ oracle on serialized schedules, from every start the
+    /// refinement can be handed: the sequential profile, the warm
+    /// start's output and a forced jump (a seeded half of the members
+    /// moved to random admissible cells). Also checks `schedule()`
+    /// against the oracle pipeline. Returns whether the warm start
+    /// jumped by itself.
+    fn assert_walker_matches_oracle(
+        sched: &DeepScheduler,
+        app: &Application,
+        tb: &Testbed,
+        seed: u64,
+    ) -> bool {
+        let json = |p: &[Placement]| serde_json::to_string(&Schedule::new(p.to_vec())).unwrap();
+        let mut ws = FleetWorkspace::default();
+        let (sequential, _) = sched.sequential_assignment(app, tb, &mut ws);
+        let warm = sched.potential_warm_start(app, tb, &sequential, &mut ws);
+        let ctx = sched.context(tb, app);
+        let registries = tb.registry_choices();
+        let mut state = seed;
+        let mut draw = |n: usize| (splitmix64(&mut state) % n as u64) as usize;
+        let mut jump = sequential.clone();
+        for id in app.ids() {
+            if draw(2) == 0 {
+                let devices = ctx.admissible_devices(id);
+                jump[id.0] = Placement {
+                    registry: registries[draw(registries.len())],
+                    device: devices[draw(devices.len())],
+                };
+            }
+        }
+        for start in [&sequential, &warm, &jump] {
+            let mut walked = start.clone();
+            sched.walk(app, tb, &mut walked, Deviations::All, &mut ws);
+            let oracle = oracle_refine(sched, app, tb, start.clone());
+            assert_eq!(json(&walked), json(&oracle), "{} seed {seed}", app.name());
+        }
+        let oracle = oracle_refine(sched, app, tb, warm.clone());
+        let scheduled = sched.schedule(app, tb);
+        assert_eq!(serde_json::to_string(&scheduled).unwrap(), json(&oracle), "{}", app.name());
+        warm != sequential
+    }
+
+    /// `app` rebuilt with its ids in reverse, so sinks come first and
+    /// `app.ids()` order is not barrier order.
+    fn reversed_ids(app: &Application) -> Application {
+        let mut b = deep_dataflow::ApplicationBuilder::new(app.name());
+        for i in (0..app.len()).rev() {
+            let ms = app.microservice(MicroserviceId(i));
+            b.microservice(ms.name.clone(), ms.image_size, ms.requirements);
+        }
+        for f in app.flows() {
+            let name = |id: MicroserviceId| app.microservice(id).name.as_str();
+            b.flow(name(f.from), name(f.to), f.size);
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn walker_matches_oracle_on_case_studies() {
+        let tb = calibrated_testbed();
+        let continuum = crate::continuum::continuum_testbed();
+        let sparse = DeepScheduler { sparse_threshold: 1, ..DeepScheduler::paper() };
+        for app in apps::case_studies() {
+            assert_walker_matches_oracle(&DeepScheduler::paper(), &app, &tb, 1);
+            assert_walker_matches_oracle(&sparse, &app, &tb, 2);
+            assert_walker_matches_oracle(&DeepScheduler::with_peer_sharing(), &app, &continuum, 3);
+            let reversed = reversed_ids(&app);
+            assert_walker_matches_oracle(&DeepScheduler::paper(), &reversed, &tb, 4);
+        }
+    }
+
+    #[test]
+    fn walker_matches_oracle_where_the_warm_start_jumps() {
+        // Heavy same-wave contention (alpha 8) makes the Rosenthal
+        // descent beat these generated apps' greedy stage games, so the
+        // refinement starts from a genuine jump (seed 63 only once its
+        // ids are reversed: the in-wave commit order changes).
+        let mut tb = calibrated_testbed();
+        tb.params.contention_alpha = 8.0;
+        let sparse = DeepScheduler { sparse_threshold: 1, ..DeepScheduler::paper() };
+        for seed in [8, 26, 56, 63, 98] {
+            let app = deep_dataflow::DagGenerator::default().generate(seed);
+            tb.publish_application(&app);
+            let app = if seed == 63 { reversed_ids(&app) } else { app };
+            for sched in [&DeepScheduler::paper(), &sparse] {
+                assert!(assert_walker_matches_oracle(sched, &app, &tb, seed), "seed {seed} jumps");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        /// Generated DAGs, depth-sorted and with reversed ids, on the
+        /// paper testbed (dense) and on a small synthetic fleet (forced
+        /// sparse, scenario-priced, gossip-discovered peers).
+        #[test]
+        fn walker_matches_oracle_on_generated_apps_and_fleets(seed in 0u64..1_000_000) {
+            let app = deep_dataflow::DagGenerator::default().generate(seed);
+            let mut tb = calibrated_testbed();
+            tb.publish_application(&app);
+            let mut fleet = crate::continuum::synthetic_fleet_testbed(6, 2, seed);
+            fleet.publish_application(&app);
+            let fleet_sched = DeepScheduler {
+                sparse_threshold: 1,
+                peer_sharing: true,
+                peer_discovery: PeerDiscovery::Gossip {
+                    fanout: 2,
+                    view_size: 3,
+                    rounds_per_wave: 1,
+                },
+                discovery_seed: seed,
+                ..DeepScheduler::scenario_priced(4, seed)
+            };
+            for app in [reversed_ids(&app), app] {
+                assert_walker_matches_oracle(&DeepScheduler::paper(), &app, &tb, seed);
+                assert_walker_matches_oracle(&fleet_sched, &app, &fleet, seed);
+            }
+        }
+    }
+
+    #[test]
+    fn certified_sequential_profiles_walk_with_zero_moves() {
+        let mut tb = calibrated_testbed();
+        let mut apps_under_test = apps::case_studies();
+        apps_under_test
+            .extend((0..6).map(|seed| deep_dataflow::DagGenerator::default().generate(seed)));
+        for app in &apps_under_test {
+            tb.publish_application(app);
+            for sched in [
+                DeepScheduler::paper(),
+                DeepScheduler { sparse_threshold: 1, ..DeepScheduler::paper() },
+            ] {
+                let mut ws = FleetWorkspace::default();
+                let (mut profile, certified) = sched.sequential_assignment(app, &tb, &mut ws);
+                assert!(certified, "{}", app.name());
+                let moves = sched.walk(app, &tb, &mut profile, Deviations::All, &mut ws);
+                assert_eq!(moves, 0, "{}", app.name());
+            }
+        }
+    }
+
+    #[test]
+    fn uncertified_stage_games_fall_through_to_the_walk() {
+        // A coordination game whose (1, 1) cell is a pure equilibrium
+        // but not the global optimum (0, 0): offered only that
+        // equilibrium, the selection cannot certify it.
+        let game =
+            Bimatrix::common_interest(Matrix::from_rows(&[vec![-1.0, -5.0], vec![-5.0, -2.0]]));
+        let pure = |i| MixedStrategy::pure(i, 2);
+        assert_eq!(select_equilibrium(&game, vec![(pure(1), pure(1))]), ((1, 1), false));
+        assert_eq!(select_equilibrium(&game, support_enumeration(&game)), ((0, 0), true));
+        // A profile the stage games would never produce: everything on
+        // one contended route. Trusting a certificate returns it as is;
+        // without one the walk moves it to an equilibrium.
+        let mut tb = calibrated_testbed();
+        tb.params.contention_alpha = 2.0;
+        let app = apps::text_processing();
+        let sched = DeepScheduler { congestion_warm_start: false, ..DeepScheduler::paper() };
+        let contended =
+            vec![Placement { registry: RegistryChoice::Hub, device: DEVICE_MEDIUM }; app.len()];
+        let mut ws = FleetWorkspace::default();
+        assert_eq!(sched.refine_joint(&app, &tb, contended.clone(), true, &mut ws), contended);
+        let walked = sched.refine_joint(&app, &tb, contended.clone(), false, &mut ws);
+        assert_ne!(walked, contended);
+        assert!(sched.is_equilibrium(&app, &tb, &Schedule::new(walked)));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: formatting, lints, release build, full test suite,
-# a compile check of every criterion bench, and a smoke-run of every
-# example so the sweeps (registry_sweep's mesh/N-regional scenarios and
-# friends, fault_sweep's failure-rate × registry-count grid) cannot
-# silently rot.
+# the benchmark's smoke test, a compile check of every criterion bench,
+# and a smoke-run of every example so the sweeps (registry_sweep's
+# mesh/N-regional scenarios and friends, fault_sweep's failure-rate ×
+# registry-count grid) cannot silently rot.
 #
 # Randomized suites stay deterministic in CI: the vendored proptest
 # seeds every case from the test name (no ambient RNG), and the
@@ -36,6 +36,13 @@ cargo build --release
 
 echo "==> cargo test -q"
 cargo test -q
+
+echo "==> benchmark smoke test (every workload's output checks must pass)"
+# perfbench is a package with its own [workspace], so the root `cargo
+# test` never reaches it: a solver change that breaks a benchmark output
+# check (Table III placements, the sampled equilibrium check, ...) must
+# still fail tier 1.
+cargo test -q --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo bench -- --test (every bench body must execute cleanly)"
 # The vendored criterion honours real criterion's --test flag: each
