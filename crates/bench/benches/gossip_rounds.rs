@@ -12,15 +12,17 @@
 //!   whose caches have not moved since the last wave: the delta plane's
 //!   stale counters turn every exchange into an O(1) no-op, so this is
 //!   the price the executor pays at *every* wave of a quiet soak.
-//! * `mesh_view/*` — one pull's bounded view off the plane. The delta
-//!   backend replays its generation-keyed cached view (the common case:
-//!   nothing moved since the wave's barrier); `mesh_view_rebuild/*`
-//!   forces the materialization path (partial selection + retraction
-//!   scan) through the retained clone-based oracle backend, which
-//!   shares the same `materialize` routine but caches nothing.
+//! * `mesh_view/*` — one pull's bounded view off the plane. The plane
+//!   replays its generation-keyed cached view (the common case: nothing
+//!   moved since the wave's barrier); `mesh_view_rebuild/*` forces the
+//!   materialization path (partial selection + retraction scan) by
+//!   invalidating the cache before every call: an idle extra node that
+//!   no view has heard of re-advertises, which moves the generation
+//!   without changing what the measured target sees.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use deep_netsim::DataSize;
+use deep_netsim::DeviceId;
 use deep_registry::{Digest, LayerCache};
 use deep_simulator::GossipPlane;
 
@@ -97,20 +99,27 @@ fn bench_mesh_view(c: &mut Criterion) {
         });
     }
     group.finish();
-    // Forced materialization: the clone-based oracle backend shares the
-    // `materialize` routine (partial selection included) but caches
-    // nothing, so every call pays the full select + retraction scan.
+    // Forced materialization: one extra node beyond the fleet never
+    // advertises through the barrier, so its per-iteration
+    // re-advertisement reaches no view (and leaves one payload in the
+    // store) but bumps the generation — every call pays the full select
+    // + retraction scan.
+    let idle = DeviceId(devices);
+    let idle_cache = LayerCache::new(DataSize::ZERO);
     let mut group = c.benchmark_group("mesh_view_rebuild");
     for &view_size in &[2u32, 8, 32, u32::MAX] {
         let mut bounded = {
-            let mut p = GossipPlane::new_oracle(devices, u32::MAX, view_size, 1, 42);
+            let mut p = GossipPlane::new(devices + 1, u32::MAX, view_size, 1, 42);
             p.barrier_round(&refs);
             p
         };
         let label =
             if view_size == u32::MAX { "unbounded".into() } else { format!("view_{view_size}") };
         group.bench_function(label.as_str(), |b| {
-            b.iter(|| black_box(bounded.mesh_view(black_box(&refs), 3)).len())
+            b.iter(|| {
+                bounded.readvertise(idle, &idle_cache);
+                black_box(bounded.mesh_view(black_box(&refs), 3)).len()
+            })
         });
     }
     group.finish();

@@ -1,14 +1,13 @@
-//! Peer-plane cost: per-pair per-holder selection and upload-contention
-//! pricing vs the scalar aggregate baseline.
+//! Peer-plane cost: per-holder source selection and upload-contention
+//! pricing.
 //!
 //! Three altitudes:
 //!
 //! * `estimate/*` — one pull session planned against an N-holder mesh
-//!   (per-layer cheapest-source scans grow with the holder count) vs
-//!   the single aggregated source;
+//!   (per-layer cheapest-source scans grow with the holder count);
 //! * `schedule/*` — the peer-aware Nash scheduler on a warm continuum
-//!   fleet under each plane representation (payoffs price per-holder
-//!   links and uplink loads vs the anonymous scalar route);
+//!   fleet, on the uniform plane and under a hot uplink (payoffs price
+//!   per-holder links and uplink loads);
 //! * `warm_start/*` — the joint refinement with and without the
 //!   Rosenthal potential warm start.
 
@@ -20,8 +19,7 @@ use deep_registry::{
     HubRegistry, LayerCache, PeerCacheSource, Platform, Reference, RegistryMesh, SourceParams,
 };
 use deep_simulator::{
-    execute, peer_source_id, ExecutorConfig, PeerPlane, RegistryChoice, Schedule, Testbed,
-    DEVICE_MEDIUM, REGISTRY_PEER,
+    execute, peer_source_id, ExecutorConfig, RegistryChoice, Schedule, Testbed, DEVICE_MEDIUM,
 };
 
 fn hub_params() -> SourceParams {
@@ -55,18 +53,6 @@ fn bench_estimate(c: &mut Criterion) {
     let reference = Reference::new("docker.io", "sina88/vp-ha-train", "amd64");
     let empty = LayerCache::new(DataSize::gigabytes(64.0));
     let mut group = c.benchmark_group("peer_plane_estimate");
-    // Scalar baseline: one aggregated source.
-    let aggregate = PeerCacheSource::from_caches("peer-cache", [&cache]);
-    group.bench_function("aggregate", |b| {
-        let mut mesh = RegistryMesh::new();
-        mesh.add_registry(RegistryId(0), &hub, hub_params());
-        mesh.add_blob_source(REGISTRY_PEER, &aggregate, peer_params());
-        b.iter(|| {
-            black_box(
-                mesh.session(RegistryId(0)).estimate(&reference, Platform::Amd64, &empty).unwrap(),
-            )
-        })
-    });
     // Per-holder planes: every holder advertises the stack, so each
     // layer's cheapest-source scan walks all of them.
     for holders in [4usize, 16, 64] {
@@ -92,11 +78,8 @@ fn bench_estimate(c: &mut Criterion) {
 }
 
 /// A warm continuum fleet (the medium device ran the video app).
-fn warm_fleet(aggregate: bool) -> Testbed {
+fn warm_fleet() -> Testbed {
     let mut tb = continuum_testbed();
-    if aggregate {
-        tb.peer_plane = PeerPlane::Aggregate;
-    }
     let app = apps::video_processing();
     let warm = Schedule::uniform(app.len(), RegistryChoice::Hub, DEVICE_MEDIUM);
     execute(&mut tb, &app, &warm, &ExecutorConfig::default()).unwrap();
@@ -106,14 +89,12 @@ fn warm_fleet(aggregate: bool) -> Testbed {
 fn bench_schedule(c: &mut Criterion) {
     let app = apps::video_processing();
     let mut group = c.benchmark_group("peer_plane_schedule");
-    for (label, aggregate) in [("aggregate", true), ("per_pair", false)] {
-        let tb = warm_fleet(aggregate);
-        group.bench_function(label, |b| {
-            b.iter(|| black_box(DeepScheduler::with_peer_sharing().schedule(&app, &tb)))
-        });
-    }
+    let tb = warm_fleet();
+    group.bench_function("per_pair", |b| {
+        b.iter(|| black_box(DeepScheduler::with_peer_sharing().schedule(&app, &tb)))
+    });
     // A hot uplink makes the per-pair payoffs genuinely non-uniform.
-    let mut hot = warm_fleet(false);
+    let mut hot = warm_fleet();
     hot.set_peer_uplink(DEVICE_MEDIUM, Bandwidth::megabytes_per_sec(16.0));
     group.bench_function("per_pair_hot_uplink", |b| {
         b.iter(|| black_box(DeepScheduler::with_peer_sharing().schedule(&app, &hot)))
@@ -123,7 +104,7 @@ fn bench_schedule(c: &mut Criterion) {
 
 fn bench_warm_start(c: &mut Criterion) {
     let app = apps::video_processing();
-    let tb = warm_fleet(false);
+    let tb = warm_fleet();
     let mut group = c.benchmark_group("peer_plane_warm_start");
     for (label, on) in [("with_potential", true), ("without", false)] {
         let scheduler = DeepScheduler {

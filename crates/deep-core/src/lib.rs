@@ -32,7 +32,7 @@
 //!   fetches from — saturated uplinks shift the equilibrium — instead
 //!   of discovering fleet-resident layers at deployment time.
 //!   Estimator and executor stay bit-for-bit parity-tested, and the
-//!   uniform plane reproduces the retained scalar oracle byte for byte
+//!   case-study schedules and run reports are pinned by digest
 //!   (`tests/peer_plane.rs`). Discovery itself is a knob:
 //!   [`DeepScheduler::peer_discovery`] switches the priced mesh from
 //!   the omniscient per-wave snapshot to the same seeded

@@ -26,8 +26,9 @@
 //!   testbed's [`deep_simulator::PeerPlane`]: one source per advertising
 //!   holder at its per-pair link rate, so a hot peer's saturated uplink
 //!   is visible to the payoffs ("which peer do I pull from" becomes part
-//!   of the equilibrium), with the scalar aggregate plane retained as
-//!   the regression oracle.
+//!   of the equilibrium). Under gossip discovery the holders come from
+//!   the estimator's own [`deep_simulator::GossipPlane`], run in lockstep
+//!   with the executor's.
 
 use deep_dataflow::{Application, MicroserviceId};
 use deep_energy::Joules;
@@ -105,8 +106,8 @@ impl Estimate {
 /// (estimates never mutate loads; only commits charge them).
 ///
 /// Values are identical to the map they replace, so every estimate that
-/// reads through [`Testbed::params::contention_factor`] sees the same
-/// integers and prices the same floats.
+/// reads through [`deep_simulator::TestbedParams::contention_factor`]
+/// sees the same integers and prices the same floats.
 ///
 /// Lanes are created on first charge and *zeroed, not dropped* on wave
 /// barriers (`clear` walks the charged keys only), so steady-state waves
@@ -194,9 +195,7 @@ pub struct EstimationContext<'t> {
     peer_sharing: bool,
     /// Per-device peer snapshots, rebuilt at each wave barrier through
     /// the testbed's [`deep_simulator::PeerPlane`] (`peer_snapshots[j]` =
-    /// the sources device j's pulls see: one per advertising holder on
-    /// the per-pair plane, the single aggregate source under the scalar
-    /// oracle).
+    /// the sources device j's pulls see: one per advertising holder).
     peer_snapshots: Vec<Vec<(RegistryId, PeerCacheSource)>>,
     /// The estimator's image of the executor's gossip discovery plane
     /// (`None` = omniscient snapshot discovery). Runs the *same*
@@ -274,9 +273,8 @@ pub struct EstimationContext<'t> {
 /// The pull mesh one estimated/committed pull runs through: the
 /// placement's registry as primary (slowed by its route load), plus the
 /// device's peer sources when peer sharing is on (one per advertising
-/// holder on the per-pair plane, each slowed by the load on *its*
-/// uplink; the single aggregate source under the scalar oracle) —
-/// exactly the mesh the executor assembles for the realised pull.
+/// holder, each slowed by the load on *its* uplink) — exactly the mesh
+/// the executor assembles for the realised pull.
 ///
 /// A free function over split borrows so `commit` can hold the mesh and a
 /// mutable cache at once.
@@ -474,15 +472,6 @@ impl<'t> EstimationContext<'t> {
             deep_simulator::PeerDiscovery::Snapshot => None,
             deep_simulator::PeerDiscovery::Gossip { fanout, view_size, rounds_per_wave } => {
                 Some(deep_simulator::GossipPlane::new(
-                    self.caches.len(),
-                    fanout,
-                    view_size,
-                    rounds_per_wave,
-                    seed,
-                ))
-            }
-            deep_simulator::PeerDiscovery::GossipOracle { fanout, view_size, rounds_per_wave } => {
-                Some(deep_simulator::GossipPlane::new_oracle(
                     self.caches.len(),
                     fanout,
                     view_size,

@@ -37,12 +37,12 @@
 //! (a pure splitmix64 function of `(seed, round, device, probe)`),
 //! ascending-id exchange order with immediate visibility, max-epoch
 //! merge semantics, and `known()` views in ascending holder order. The
-//! clone-based PR 9 implementation is retained verbatim in
-//! [`oracle`] and the differential plane pins the two view sequences
-//! (and the Schedules/RunReports built on them) byte for byte — so
-//! convergence behaviour and the snapshot bridge (`fanout >= devices -
-//! 1` converges in one round, reproducing the omniscient plane) carry
-//! over unchanged.
+//! clone-based PR 9 implementation is retained verbatim in [`oracle`],
+//! a test-only reference: the unit tests here pin the two view
+//! sequences byte for byte, and the simulator's gossip-plane tests
+//! drive both behind the plane interface — so convergence behaviour and
+//! the snapshot bridge (`fanout >= devices - 1` converges in one round,
+//! reproducing the omniscient plane) carry over unchanged.
 //!
 //! Views remain *eventually* consistent: between the moment a holder's
 //! cache changes and the moment the new epoch reaches a viewer, the
@@ -325,8 +325,9 @@ fn splitmix64(mut x: u64) -> u64 {
 /// `(epoch, payload)` entries across on every exchange. Same partner
 /// schedule, same merge semantics, same observable view sequence — the
 /// delta implementation above must match it byte for byte, which the
-/// proptest differential plane (here and in `tests/gossip_discovery.rs`)
-/// locks down. Not part of the supported API.
+/// differential proptests (here, and at the plane interface in the
+/// simulator's `gossip` module) lock down. Test-only: no runtime
+/// configuration reaches it. Not part of the supported API.
 #[doc(hidden)]
 pub mod oracle {
     use std::collections::BTreeMap;

@@ -566,12 +566,11 @@ impl CacheAccess<'_> {
 ///
 /// Two granularities exist:
 ///
-/// * [`PeerCacheSource::from_caches`] — the *aggregated* plane: every
-///   peer's layers folded into one source (the scalar `peer_bw` model,
-///   retained as the regression oracle). The serving device is
-///   anonymous, so upload contention cannot be attributed.
+/// * [`PeerCacheSource::from_caches`] — an anonymous source: several
+///   caches' layers folded into one (split-pull experiments that need a
+///   fleet cache but no per-holder attribution).
 /// * [`PeerCacheSource::for_holder`] — one source per *serving device*:
-///   the topology-backed plane registers one of these per peer, each
+///   the simulator's peer plane registers one of these per peer, each
 ///   under its own mesh id, so a [`PullSession`] sees each holder's real
 ///   per-pair link and the simulator can charge upload contention on the
 ///   holder's NIC.
@@ -946,6 +945,69 @@ mod tests {
         assert!((out.overhead.as_f64() - 25.0).abs() < 1e-12);
         assert!(out.deployment_time().as_f64() >= 6.0 + 25.0);
         assert_eq!(flaky.pending_failures(), 0);
+    }
+
+    #[test]
+    fn clean_pull_under_a_policy_takes_one_attempt() {
+        let hub = HubRegistry::with_paper_catalog();
+        let mut mesh = RegistryMesh::new();
+        mesh.add_registry(HUB, &hub, hub_params());
+        let r = Reference::new("docker.io", "sina88/vp-transcode", "amd64");
+        let out = mesh
+            .session(HUB)
+            .with_retry(RetryPolicy::default())
+            .pull(&r, Platform::Amd64, &mut cache())
+            .unwrap();
+        assert_eq!(out.attempts, 1);
+        assert_eq!(out.backoff_total, Seconds::ZERO);
+    }
+
+    #[test]
+    fn resolve_retries_exhaust_into_the_transient_error() {
+        let flaky = FlakyRegistry::new(HubRegistry::with_paper_catalog(), 10);
+        let mut mesh = RegistryMesh::new();
+        mesh.add_registry(HUB, &flaky, hub_params());
+        let session = mesh.session(HUB).with_retry(RetryPolicy {
+            max_attempts: 3,
+            base_backoff: Seconds::new(1.0),
+            ..Default::default()
+        });
+        let r = Reference::new("docker.io", "sina88/vp-transcode", "amd64");
+        let err = session.pull(&r, Platform::Amd64, &mut cache()).unwrap_err();
+        assert!(err.is_transient());
+        assert_eq!(flaky.pending_failures(), 7, "exactly max_attempts resolves were tried");
+    }
+
+    #[test]
+    fn permanent_errors_fail_fast_under_a_policy() {
+        let flaky = FlakyRegistry::new(HubRegistry::with_paper_catalog(), 0);
+        let mut mesh = RegistryMesh::new();
+        mesh.add_registry(HUB, &flaky, hub_params());
+        let ghost = Reference::new("docker.io", "sina88/ghost", "amd64");
+        let err = mesh
+            .session(HUB)
+            .with_retry(RetryPolicy::default())
+            .pull(&ghost, Platform::Amd64, &mut cache())
+            .unwrap_err();
+        assert!(matches!(err, RegistryError::ManifestNotFound(_)));
+        assert!(!err.is_transient());
+    }
+
+    #[test]
+    fn retried_session_pull_updates_the_cache_once() {
+        let flaky = FlakyRegistry::new(HubRegistry::with_paper_catalog(), 1);
+        let mut mesh = RegistryMesh::new();
+        mesh.add_registry(HUB, &flaky, hub_params());
+        let session = mesh.session(HUB).with_retry(RetryPolicy::default());
+        let r = Reference::new("docker.io", "sina88/vp-transcode", "amd64");
+        let mut c = cache();
+        let out = session.pull(&r, Platform::Amd64, &mut c).unwrap();
+        assert_eq!(out.attempts, 2);
+        assert_eq!(out.layers_fetched, 3);
+        assert_eq!(c.len(), 3);
+        // A second pull hits the cache completely.
+        let again = session.pull(&r, Platform::Amd64, &mut c).unwrap();
+        assert_eq!(again.downloaded, DataSize::ZERO);
     }
 
     #[test]

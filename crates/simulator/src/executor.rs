@@ -36,10 +36,9 @@ use std::fmt;
 /// consulted when [`ExecutorConfig::peer_sharing`] is on).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PeerDiscovery {
-    /// The omniscient catalog (paper-era behaviour): every wave barrier
-    /// snapshots every *other* device's current cache via
-    /// [`crate::PeerPlane::snapshot`]. The regression oracle for the
-    /// gossip plane.
+    /// The omniscient catalog: every wave barrier snapshots every
+    /// *other* device's current cache via [`crate::PeerPlane::snapshot`].
+    /// A converged gossip configuration reproduces it byte for byte.
     #[default]
     Snapshot,
     /// Decentralized epidemic discovery ([`crate::GossipPlane`]): each
@@ -53,22 +52,6 @@ pub enum PeerDiscovery {
     /// an unbounded view this reproduces [`PeerDiscovery::Snapshot`]
     /// byte for byte.
     Gossip {
-        /// Exchange partners per device per round (clamped to
-        /// `devices - 1`).
-        fanout: u32,
-        /// Max holder sources one pull's mesh may carry.
-        view_size: u32,
-        /// Epidemic rounds per wave barrier.
-        rounds_per_wave: u32,
-    },
-    /// The PR 9 clone-based gossip exchange, kept alive solely as the
-    /// differential oracle for [`PeerDiscovery::Gossip`]'s epoch-vector
-    /// delta engine: same partner schedule, same merge semantics, same
-    /// views — the test planes run the full scheduler/executor pipeline
-    /// under both and pin the serialized Schedules and RunReports byte
-    /// for byte. Not part of the supported API.
-    #[doc(hidden)]
-    GossipOracle {
         /// Exchange partners per device per round (clamped to
         /// `devices - 1`).
         fanout: u32,
@@ -95,15 +78,12 @@ pub struct ExecutorConfig {
     /// Register the testbed's peer plane in each pull's mesh,
     /// snapshotting the *other* devices' layer caches at the wave
     /// barrier: layers a fleet peer already holds are fetched over the
-    /// peer links instead of the registry route. Under the default
-    /// [`crate::PeerPlane::PerPair`] plane each serving device becomes
-    /// its own blob source (mesh ids [`crate::REGISTRY_PEER_BASE`]`+ j`)
-    /// at its per-pair link rate, and concurrent same-wave pulls it
-    /// serves contend on *its* uplink ([`crate::route_key`]); the
-    /// retained [`crate::PeerPlane::Aggregate`] oracle registers the
-    /// single anonymous [`crate::REGISTRY_PEER`] source of the scalar
-    /// model. `false` (paper behaviour) keeps every pull on its
-    /// placement's single registry.
+    /// peer links instead of the registry route. Each serving device of
+    /// the [`crate::PeerPlane`] becomes its own blob source (mesh ids
+    /// [`crate::REGISTRY_PEER_BASE`]`+ j`) at its per-pair link rate, and
+    /// concurrent same-wave pulls it serves contend on *its* uplink
+    /// ([`crate::route_key`]). `false` (paper behaviour) keeps every
+    /// pull on its placement's single registry.
     pub peer_sharing: bool,
     /// How peers are discovered when `peer_sharing` is on: the
     /// omniscient snapshot catalog (default) or seeded epidemic gossip
@@ -449,26 +429,13 @@ fn fire_scripted_events(
         let label = match &event.kind {
             ChaosKind::CachePressure { device, keep } => {
                 let evicted = devices[device.0].cache.evict_to(*keep);
-                for victim in &evicted {
-                    for sources in peer_snapshots.values_mut() {
-                        for (id, src) in sources.iter_mut() {
-                            match peer_holder(*id) {
-                                // The holder's own source: the layer is gone.
-                                Some(holder) if holder == *device => {
-                                    src.retract(victim);
-                                }
-                                Some(_) => {}
-                                // Aggregate plane: anonymous fleet source —
-                                // retract only when no other device still
-                                // holds the layer.
-                                None => {
-                                    let held_elsewhere = devices
-                                        .iter()
-                                        .any(|d| d.id != *device && d.cache.contains(victim));
-                                    if !held_elsewhere {
-                                        src.retract(victim);
-                                    }
-                                }
+                // The holder's own source in every in-flight snapshot:
+                // the evicted layers are gone.
+                for sources in peer_snapshots.values_mut() {
+                    for (id, src) in sources.iter_mut() {
+                        if peer_holder(*id) == Some(*device) {
+                            for victim in &evicted {
+                                src.retract(victim);
                             }
                         }
                     }
@@ -520,15 +487,6 @@ impl OnlineExecutor {
         let gossip = match (cfg.peer_sharing, cfg.peer_discovery) {
             (true, PeerDiscovery::Gossip { fanout, view_size, rounds_per_wave }) => {
                 Some(crate::gossip::GossipPlane::new(
-                    testbed.devices.len(),
-                    fanout,
-                    view_size,
-                    rounds_per_wave,
-                    cfg.seed,
-                ))
-            }
-            (true, PeerDiscovery::GossipOracle { fanout, view_size, rounds_per_wave }) => {
-                Some(crate::gossip::GossipPlane::new_oracle(
                     testbed.devices.len(),
                     fanout,
                     view_size,
@@ -672,9 +630,8 @@ impl OnlineExecutor {
         // Peer-cache snapshots, one per target device, taken at the wave
         // barrier: peers advertise what they held when the wave began (a
         // gossip round per barrier), decoupling the snapshot from the
-        // mutable per-pull cache borrows below. Under the per-pair plane
-        // each advertising holder is its own source; the aggregate
-        // oracle folds them into one.
+        // mutable per-pull cache borrows below. Each advertising holder
+        // is its own source.
         // Snapshots are built only for devices this wave actually deploys
         // to — a fleet wave touching a handful of devices must not pay
         // O(devices²) digest clones.
@@ -802,24 +759,17 @@ impl OnlineExecutor {
                 };
             let peer_entries: &[(RegistryId, PeerCacheSource)] =
                 if cfg.peer_sharing { &peer_snapshots[&placement.device.0] } else { &[] };
-            // Per-peer fault wrappers: per-holder sources draw their own
-            // per-pull fatal churn (a dead holder fails over alone — the
-            // rest of the peer plane and the registries keep serving)
-            // and their own transient streams; the aggregate oracle's
-            // anonymous source keeps the PR 4 survivor (transient-only)
-            // semantics.
+            // Per-peer fault wrappers: each holder draws its own per-pull
+            // fatal churn (a dead holder fails over alone — the rest of
+            // the peer plane and the registries keep serving) and its own
+            // transient stream. Peer-uplink kills are scripted as dark
+            // windows on the peer's mesh id.
             let peer_faults: Vec<(RegistryId, PlannedFaults<'_, &PeerCacheSource>)> =
                 match fault_plan {
                     Some(plan) => peer_entries
                         .iter()
                         .map(|(id, src)| {
-                            let wrapped = match peer_holder(*id) {
-                                Some(_) => PlannedFaults::holder(src, plan, *id, pull_idx),
-                                None => PlannedFaults::survivor(src, plan, *id, pull_idx),
-                            };
-                            // Peer-uplink kills are scripted as dark
-                            // windows on the peer's mesh id.
-                            (*id, wrapped.at(*clock))
+                            (*id, PlannedFaults::holder(src, plan, *id, pull_idx).at(*clock))
                         })
                         .collect(),
                     None => Vec::new(),
@@ -1175,68 +1125,47 @@ mod tests {
     #[test]
     fn same_wave_pulls_to_different_devices_contend_on_the_holders_uplink() {
         // One warm holder (cloud), two cold devices pulling in the same
-        // wave: under the per-pair plane both pulls ride the cloud's
-        // uplink, so the second one (in execution order) sees the uplink
-        // already loaded and slows by the contention factor. Under the
-        // aggregate oracle the pulls contend on separate
-        // (REGISTRY_PEER, puller) routes — pulling onto different
-        // devices hides the shared NIC entirely, the blindness this PR
-        // removes.
+        // wave: both pulls ride the cloud's uplink, so the second one (in
+        // execution order) sees the uplink already loaded and slows by
+        // the contention factor — even though it pulls onto a different
+        // device than the first.
         let app = apps::video_processing();
-        let run = |aggregate: bool| {
-            let mut tb = Testbed::continuum();
-            if aggregate {
-                tb.peer_plane = crate::testbed::PeerPlane::Aggregate;
-            }
-            // Warm the cloud holder with everything — both platforms, a
-            // fleet cache able to serve the amd64 medium AND the arm64
-            // small device (layer digests are arch-specific).
-            let warm =
-                Schedule::uniform(app.len(), RegistryChoice::Hub, crate::testbed::DEVICE_CLOUD);
-            execute(&mut tb, &app, &warm, &ExecutorConfig::default()).unwrap();
-            let mut cache = tb.device(crate::testbed::DEVICE_CLOUD).cache.clone();
-            for id in app.ids() {
-                let ms = app.microservice(id);
-                let entry = tb.entry(app.name(), &ms.name).unwrap().clone();
-                let reference = entry.hub_reference(Platform::Arm64);
-                tb.pull_mesh(RegistryChoice::Hub, crate::testbed::DEVICE_CLOUD, 1.0)
-                    .session(RegistryChoice::Hub.registry_id())
-                    .pull(&reference, Platform::Arm64, &mut cache)
-                    .unwrap();
-            }
-            tb.device_mut(crate::testbed::DEVICE_CLOUD).cache = cache;
-            // ha-train and la-train share the training wave but land on
-            // different devices; both images are served entirely by the
-            // cloud holder, so both pulls load the same uplink.
-            let mut placements =
-                vec![Placement { registry: RegistryChoice::Hub, device: DEVICE_MEDIUM }; app.len()];
-            placements[app.by_name("la-train").unwrap().0] =
-                Placement { registry: RegistryChoice::Hub, device: DEVICE_SMALL };
-            let cfg = ExecutorConfig { peer_sharing: true, ..Default::default() };
-            execute(&mut tb, &app, &Schedule::new(placements), &cfg).unwrap().0
-        };
-        let per_pair = run(false);
-        let aggregate = run(true);
-        // ha-train (lower id) pulls first: uplink unloaded, identical td
-        // in both models. la-train on the small device pulls its full
-        // 5.78 GB (nothing cached there) over the same uplink, which
-        // already carries ha-train's bytes: slowed by 1 + alpha under
-        // the per-pair plane only.
-        let ha = |r: &RunReport| r.metrics("ha-train").unwrap().td.as_f64();
-        let la = |r: &RunReport| r.metrics("la-train").unwrap().td.as_f64();
-        assert!((ha(&per_pair) - ha(&aggregate)).abs() < 1e-12, "first pull sees no load");
+        let mut tb = Testbed::continuum();
+        // Warm the cloud holder with everything — both platforms, a fleet
+        // cache able to serve the amd64 medium AND the arm64 small device
+        // (layer digests are arch-specific).
+        let warm = Schedule::uniform(app.len(), RegistryChoice::Hub, crate::testbed::DEVICE_CLOUD);
+        execute(&mut tb, &app, &warm, &ExecutorConfig::default()).unwrap();
+        let mut cache = tb.device(crate::testbed::DEVICE_CLOUD).cache.clone();
+        for id in app.ids() {
+            let ms = app.microservice(id);
+            let entry = tb.entry(app.name(), &ms.name).unwrap().clone();
+            let reference = entry.hub_reference(Platform::Arm64);
+            tb.pull_mesh(RegistryChoice::Hub, crate::testbed::DEVICE_CLOUD, 1.0)
+                .session(RegistryChoice::Hub.registry_id())
+                .pull(&reference, Platform::Arm64, &mut cache)
+                .unwrap();
+        }
+        tb.device_mut(crate::testbed::DEVICE_CLOUD).cache = cache;
+        // ha-train and la-train share the training wave but land on
+        // different devices; both images are served entirely by the
+        // cloud holder, so both pulls load the same uplink.
+        let mut placements =
+            vec![Placement { registry: RegistryChoice::Hub, device: DEVICE_MEDIUM }; app.len()];
+        placements[app.by_name("la-train").unwrap().0] =
+            Placement { registry: RegistryChoice::Hub, device: DEVICE_SMALL };
+        let cfg = ExecutorConfig { peer_sharing: true, ..Default::default() };
+        let (report, _) = execute(&mut tb, &app, &Schedule::new(placements), &cfg).unwrap();
+        // ha-train (lower id) pulls first onto the unloaded uplink.
+        let ha = report.metrics("ha-train").unwrap().td.as_f64();
+        let unloaded = 5780.0 / 80.0 + 5780.0 / 12.6 + 26.0;
+        assert!((ha - unloaded).abs() < 1e-9, "first pull sees no load: {ha} vs {unloaded}");
+        // la-train on the small device pulls its full 5.78 GB (nothing
+        // cached there) over the uplink that already carries ha-train's
+        // bytes: slowed by 1 + alpha.
+        let la = report.metrics("la-train").unwrap().td.as_f64();
         let slowed = 5780.0 * 1.1 / 80.0 + 5780.0 / 11.0 + 26.0;
-        let blind = 5780.0 / 80.0 + 5780.0 / 11.0 + 26.0;
-        assert!(
-            (la(&per_pair) - slowed).abs() < 1e-9,
-            "uplink-contended la-train: {} vs {slowed}",
-            la(&per_pair)
-        );
-        assert!(
-            (la(&aggregate) - blind).abs() < 1e-9,
-            "aggregate-blind la-train: {} vs {blind}",
-            la(&aggregate)
-        );
+        assert!((la - slowed).abs() < 1e-9, "uplink-contended la-train: {la} vs {slowed}");
     }
 
     #[test]

@@ -43,11 +43,13 @@
 //! fully re-converges the views, and an unbounded `view_size` makes
 //! `mesh_view` reproduce `PeerPlane::snapshot` holder for holder — the
 //! differential bridge `tests/gossip_discovery.rs` locks down byte for
-//! byte, against both the omniscient snapshot and the PR 9 clone-based
-//! exchange (retained as [`deep_netsim::gossip::oracle`]).
+//! byte. The unit tests below pin the plane's whole interface (barrier
+//! rounds, readvertisement, cached views) against a cache-free reference
+//! plane built on the clone-based exchange of
+//! [`deep_netsim::gossip::oracle`].
 
 use crate::testbed::peer_source_id;
-use deep_netsim::gossip::{oracle, GossipState};
+use deep_netsim::gossip::GossipState;
 use deep_netsim::{DeviceId, RegistryId};
 use deep_registry::{BlobSource, LayerCache, PeerCacheSource};
 
@@ -55,22 +57,14 @@ use deep_registry::{BlobSource, LayerCache, PeerCacheSource};
 /// was built under moves.
 type CachedView = Option<(u64, Vec<(RegistryId, PeerCacheSource)>)>;
 
-/// The two exchange engines a plane can run on. Everything observable —
-/// partner schedule, merge semantics, view order — is identical; the
-/// delta backend ships epoch-vector diffs and caches materialized
-/// views, the oracle backend is the PR 9 clone-and-merge kept alive for
-/// differential testing.
-#[derive(Debug, Clone)]
-enum Backend {
-    Delta { state: GossipState<PeerCacheSource>, views: Vec<CachedView> },
-    Oracle(oracle::GossipState<PeerCacheSource>),
-}
-
 /// The fleet-wide gossip discovery plane: epidemic state plus the knobs
 /// of [`crate::executor::PeerDiscovery::Gossip`].
 #[derive(Debug, Clone)]
 pub struct GossipPlane {
-    backend: Backend,
+    state: GossipState<PeerCacheSource>,
+    /// Materialized mesh views per target, keyed on the generation they
+    /// were built under.
+    views: Vec<CachedView>,
     fanout: u32,
     view_size: u32,
     rounds_per_wave: u32,
@@ -88,30 +82,8 @@ impl GossipPlane {
         seed: u64,
     ) -> Self {
         GossipPlane {
-            backend: Backend::Delta {
-                state: GossipState::new(devices, seed),
-                views: vec![None; devices],
-            },
-            fanout,
-            view_size,
-            rounds_per_wave,
-        }
-    }
-
-    /// A plane running the PR 9 clone-based exchange — the differential
-    /// oracle behind `PeerDiscovery::GossipOracle`. Same observable
-    /// behaviour as [`Self::new`], kept only so the test planes can run
-    /// the full scheduler/executor pipeline on both engines.
-    #[doc(hidden)]
-    pub fn new_oracle(
-        devices: usize,
-        fanout: u32,
-        view_size: u32,
-        rounds_per_wave: u32,
-        seed: u64,
-    ) -> Self {
-        GossipPlane {
-            backend: Backend::Oracle(oracle::GossipState::new(devices, seed)),
+            state: GossipState::new(devices, seed),
+            views: vec![None; devices],
             fanout,
             view_size,
             rounds_per_wave,
@@ -127,36 +99,12 @@ impl GossipPlane {
     /// short-circuits — the barrier allocates nothing and the cached
     /// mesh views stay live.
     pub fn barrier_round(&mut self, caches: &[&LayerCache]) {
-        match &mut self.backend {
-            Backend::Delta { state, .. } => {
-                for (j, cache) in caches.iter().enumerate() {
-                    let fresh = match state.self_ad(j) {
-                        Some(ad) => {
-                            ad.len() != cache.len() || cache.digests().any(|d| !ad.has_blob(d))
-                        }
-                        None => true,
-                    };
-                    if fresh {
-                        state.advertise(j, PeerCacheSource::for_holder(DeviceId(j), cache));
-                    }
-                }
-                state.run_rounds(self.rounds_per_wave, self.fanout);
-            }
-            Backend::Oracle(state) => {
-                for (j, cache) in caches.iter().enumerate() {
-                    let fresh = match state.self_ad(j) {
-                        Some(ad) => {
-                            ad.len() != cache.len() || cache.digests().any(|d| !ad.has_blob(d))
-                        }
-                        None => true,
-                    };
-                    if fresh {
-                        state.advertise(j, PeerCacheSource::for_holder(DeviceId(j), cache));
-                    }
-                }
-                state.run_rounds(self.rounds_per_wave, self.fanout);
+        for (j, cache) in caches.iter().enumerate() {
+            if diverged(self.state.self_ad(j), cache) {
+                self.state.advertise(j, PeerCacheSource::for_holder(DeviceId(j), cache));
             }
         }
+        self.state.run_rounds(self.rounds_per_wave, self.fanout);
     }
 
     /// Immediate re-advertisement after an out-of-band cache change —
@@ -168,17 +116,8 @@ impl GossipPlane {
     /// mesh view — which is why out-of-band mutations must come through
     /// here.)
     pub fn readvertise(&mut self, holder: DeviceId, cache: &LayerCache) {
-        match &mut self.backend {
-            Backend::Delta { state, .. } => {
-                if holder.0 < state.devices() {
-                    state.advertise(holder.0, PeerCacheSource::for_holder(holder, cache));
-                }
-            }
-            Backend::Oracle(state) => {
-                if holder.0 < state.devices() {
-                    state.advertise(holder.0, PeerCacheSource::for_holder(holder, cache));
-                }
-            }
+        if holder.0 < self.state.devices() {
+            self.state.advertise(holder.0, PeerCacheSource::for_holder(holder, cache));
         }
     }
 
@@ -194,45 +133,36 @@ impl GossipPlane {
     ///
     /// Views are cached per target for as long as the gossip generation
     /// holds still: between barriers of an unchanged fleet this is a
-    /// clone of the stored vector, not a rebuild.
+    /// clone of the stored vector, not a rebuild. The cache is sound
+    /// because views are materialized at barriers: every change to
+    /// `caches` since the plane last saw them must have reached it
+    /// through [`Self::barrier_round`] or [`Self::readvertise`].
     pub fn mesh_view(
         &mut self,
         caches: &[&LayerCache],
         target: usize,
     ) -> Vec<(RegistryId, PeerCacheSource)> {
-        let view_size = self.view_size;
-        match &mut self.backend {
-            Backend::Delta { state, views } => {
-                let generation = state.generation();
-                if let Some((built_at, view)) = &views[target] {
-                    if *built_at == generation {
-                        return view.clone();
-                    }
-                }
-                let view = materialize(state.known(target), view_size, caches, target);
-                views[target] = Some((generation, view.clone()));
-                view
+        let generation = self.state.generation();
+        if let Some((built_at, view)) = &self.views[target] {
+            if *built_at == generation {
+                return view.clone();
             }
-            Backend::Oracle(state) => materialize(state.known(target), view_size, caches, target),
         }
+        let view = materialize(self.state.known(target), self.view_size, caches, target);
+        self.views[target] = Some((generation, view.clone()));
+        view
     }
 
     /// True when every view carries the freshest epoch of every
     /// advertisement — the regime in which `mesh_view` (unbounded)
     /// equals the omniscient snapshot.
     pub fn converged(&self) -> bool {
-        match &self.backend {
-            Backend::Delta { state, .. } => state.converged(),
-            Backend::Oracle(state) => state.converged(),
-        }
+        self.state.converged()
     }
 
     /// Epidemic rounds run so far.
     pub fn rounds_run(&self) -> u64 {
-        match &self.backend {
-            Backend::Delta { state, .. } => state.rounds_run(),
-            Backend::Oracle(state) => state.rounds_run(),
-        }
+        self.state.rounds_run()
     }
 
     /// The configured view bound.
@@ -241,7 +171,17 @@ impl GossipPlane {
     }
 }
 
-/// Shared view materialization over either backend's `known` iterator:
+/// The barrier's advertise rule: a device re-advertises when its cache
+/// no longer matches its own last advertisement (or it never published
+/// one).
+fn diverged(own_ad: Option<&PeerCacheSource>, cache: &LayerCache) -> bool {
+    match own_ad {
+        Some(ad) => ad.len() != cache.len() || cache.digests().any(|d| !ad.has_blob(d)),
+        None => true,
+    }
+}
+
+/// View materialization over a gossip state's `known` iterator:
 /// bounded deterministic selection (largest advertisement first, ties to
 /// the lower device id), ascending-holder output, stale digests
 /// retracted against the live `caches`.
@@ -290,6 +230,7 @@ fn materialize<'a>(
 mod tests {
     use super::*;
     use crate::testbed::PeerPlane;
+    use deep_netsim::gossip::oracle;
     use deep_netsim::{Bandwidth, DataSize, Seconds};
     use deep_registry::Digest;
 
@@ -479,22 +420,164 @@ mod tests {
 
     #[test]
     fn oracle_backend_materializes_identical_views() {
+        // A fixed bounded, slow epidemic: the delta plane and the
+        // clone-based reference plane materialize the same views at
+        // every barrier, before and after convergence.
         let caches = fleet();
         let refs: Vec<&LayerCache> = caches.iter().collect();
         let mut delta = GossipPlane::new(4, 2, 2, 1, 42);
-        let mut reference = GossipPlane::new_oracle(4, 2, 2, 1, 42);
+        let mut reference = ReferencePlane::new(4, 2, 2, 1, 42);
         for _ in 0..3 {
             delta.barrier_round(&refs);
             reference.barrier_round(&refs);
-            assert_eq!(delta.converged(), reference.converged());
+            assert_eq!(delta.converged(), reference.state.converged());
+            assert_eq!(delta.rounds_run(), reference.state.rounds_run());
             for target in 0..4 {
-                let d = delta.mesh_view(&refs, target);
-                let r = reference.mesh_view(&refs, target);
-                assert_eq!(d.len(), r.len(), "target {target}");
-                for ((id_d, src_d), (id_r, src_r)) in d.iter().zip(r.iter()) {
-                    assert_eq!(id_d, id_r);
-                    assert_eq!(src_d.holder(), src_r.holder());
-                    assert_eq!(src_d.len(), src_r.len());
+                assert_eq!(
+                    summarize(&delta.mesh_view(&refs, target)),
+                    summarize(&reference.mesh_view(&refs, target)),
+                    "target {target}"
+                );
+            }
+        }
+    }
+
+    /// The reference plane: the clone-based exchange of
+    /// [`deep_netsim::gossip::oracle`] behind the same advertise rule and
+    /// the shared [`materialize`], with no view cache — every view is
+    /// rebuilt from scratch.
+    struct ReferencePlane {
+        state: oracle::GossipState<PeerCacheSource>,
+        fanout: u32,
+        view_size: u32,
+        rounds_per_wave: u32,
+    }
+
+    impl ReferencePlane {
+        fn new(devices: usize, fanout: u32, view_size: u32, rounds: u32, seed: u64) -> Self {
+            ReferencePlane {
+                state: oracle::GossipState::new(devices, seed),
+                fanout,
+                view_size,
+                rounds_per_wave: rounds,
+            }
+        }
+
+        fn barrier_round(&mut self, caches: &[&LayerCache]) {
+            for (j, cache) in caches.iter().enumerate() {
+                if diverged(self.state.self_ad(j), cache) {
+                    self.state.advertise(j, PeerCacheSource::for_holder(DeviceId(j), cache));
+                }
+            }
+            self.state.run_rounds(self.rounds_per_wave, self.fanout);
+        }
+
+        fn readvertise(&mut self, holder: DeviceId, cache: &LayerCache) {
+            self.state.advertise(holder.0, PeerCacheSource::for_holder(holder, cache));
+        }
+
+        fn mesh_view(
+            &self,
+            caches: &[&LayerCache],
+            target: usize,
+        ) -> Vec<(RegistryId, PeerCacheSource)> {
+            materialize(self.state.known(target), self.view_size, caches, target)
+        }
+    }
+
+    /// A view as comparable data: per source, its id, holder, advertised
+    /// digests and the digests it still serves (advertised minus
+    /// retracted), both sorted.
+    type ViewSummary = Vec<(RegistryId, Option<DeviceId>, Vec<Digest>, Vec<Digest>)>;
+
+    fn summarize(view: &[(RegistryId, PeerCacheSource)]) -> ViewSummary {
+        view.iter()
+            .map(|(id, src)| {
+                let mut advertised: Vec<Digest> = src.digests().cloned().collect();
+                advertised.sort();
+                let retained =
+                    advertised.iter().filter(|d| src.fetch_blob(d).is_ok()).cloned().collect();
+                (*id, src.holder(), advertised, retained)
+            })
+            .collect()
+    }
+
+    /// Knob values the differential script sweeps: the minimum, a small
+    /// bound, and unbounded. (Rounds per wave stop at 3: an unbounded
+    /// round count would run 2³² rounds per barrier on either engine.)
+    const KNOBS: [u32; 3] = [1, 2, u32::MAX];
+    const ROUNDS: [u32; 3] = [1, 2, 3];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// Random scripts of barrier rounds, cache inserts, evictions,
+        /// readvertisements and mesh views drive the delta plane and the
+        /// reference plane in lockstep: at every view the two agree on
+        /// ids, holders, advertised and retained digests, convergence and
+        /// the round count — which pins the epoch-vector exchange *and*
+        /// the generation-keyed view cache against a cache-free rebuild.
+        #[test]
+        fn plane_matches_the_reference_plane_over_random_scripts(
+            devices in 2usize..7,
+            knobs in 0usize..27,
+            seed in proptest::prelude::any::<u64>(),
+            script in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..80),
+        ) {
+            let (fanout, view_size, rounds) =
+                (KNOBS[knobs % 3], KNOBS[knobs / 3 % 3], ROUNDS[knobs / 9]);
+            let mut plane = GossipPlane::new(devices, fanout, view_size, rounds, seed);
+            let mut reference = ReferencePlane::new(devices, fanout, view_size, rounds, seed);
+            let mut caches = vec![LayerCache::new(DataSize::gigabytes(8.0)); devices];
+            // Devices whose cache changed since the planes last saw it.
+            let mut unseen = vec![false; devices];
+            for op in script {
+                let device = (op >> 8) as usize % devices;
+                match op % 5 {
+                    0 => {
+                        let refs: Vec<&LayerCache> = caches.iter().collect();
+                        plane.barrier_round(&refs);
+                        reference.barrier_round(&refs);
+                        unseen.fill(false);
+                    }
+                    // A pull lands a layer (one of a few shared tags, so
+                    // evicted layers come back and holders overlap).
+                    1 => {
+                        caches[device].insert(digest((op >> 16) as u8 % 6), DataSize::megabytes(10.0));
+                        unseen[device] = true;
+                    }
+                    // Cache pressure: the chaos path re-advertises the
+                    // holder when anything was evicted.
+                    2 => {
+                        let keep = DataSize::megabytes(10.0 * ((op >> 16) % 4) as f64);
+                        if !caches[device].evict_to(keep).is_empty() {
+                            plane.readvertise(DeviceId(device), &caches[device]);
+                            reference.readvertise(DeviceId(device), &caches[device]);
+                            unseen[device] = false;
+                        }
+                    }
+                    3 => {
+                        plane.readvertise(DeviceId(device), &caches[device]);
+                        reference.readvertise(DeviceId(device), &caches[device]);
+                        unseen[device] = false;
+                    }
+                    _ => {
+                        // Views materialize at barriers: changes the
+                        // planes have not seen reach them first.
+                        let refs: Vec<&LayerCache> = caches.iter().collect();
+                        if unseen.iter().any(|&u| u) {
+                            plane.barrier_round(&refs);
+                            reference.barrier_round(&refs);
+                            unseen.fill(false);
+                        }
+                        proptest::prelude::prop_assert_eq!(
+                            summarize(&plane.mesh_view(&refs, device)),
+                            summarize(&reference.mesh_view(&refs, device)),
+                            "view of device {}", device
+                        );
+                        proptest::prelude::prop_assert_eq!(plane.converged(), reference.state.converged());
+                        proptest::prelude::prop_assert_eq!(plane.rounds_run(), reference.state.rounds_run());
+                    }
                 }
             }
         }

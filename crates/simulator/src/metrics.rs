@@ -1,7 +1,7 @@
 //! Per-microservice measurements and run reports.
 
 use crate::schedule::Placement;
-use crate::testbed::{peer_holder, REGISTRY_PEER};
+use crate::testbed::peer_holder;
 use deep_energy::Joules;
 use deep_netsim::{DeviceId, RegistryId, Seconds};
 use deep_registry::SourcePull;
@@ -43,9 +43,8 @@ impl MicroserviceMetrics {
     }
 
     /// Megabytes of this pull served by each peer device, in order of
-    /// first use — the per-holder breakdown of the topology-backed peer
-    /// plane (empty when nothing rode a peer link, or under the
-    /// anonymous aggregate plane).
+    /// first use — the per-holder breakdown of the peer plane (empty
+    /// when nothing rode a peer link).
     pub fn peer_downloads(&self) -> Vec<(DeviceId, f64)> {
         self.sources
             .iter()
@@ -53,12 +52,11 @@ impl MicroserviceMetrics {
             .collect()
     }
 
-    /// Megabytes of this pull that rode the peer plane, under either
-    /// plane (per-holder sources or the aggregate [`REGISTRY_PEER`]).
+    /// Megabytes of this pull that rode the peer plane.
     pub fn peer_downloaded_mb(&self) -> f64 {
         self.sources
             .iter()
-            .filter(|s| s.source == REGISTRY_PEER || peer_holder(s.source).is_some())
+            .filter(|s| peer_holder(s.source).is_some())
             .map(|s| s.downloaded.as_megabytes())
             .sum()
     }
@@ -122,52 +120,9 @@ impl RunReport {
         totals.into_iter().collect()
     }
 
-    /// Total megabytes the peer plane served across the run, under
-    /// either plane representation.
+    /// Total megabytes the peer plane served across the run.
     pub fn peer_downloaded_mb(&self) -> f64 {
         self.microservices.iter().map(|m| m.peer_downloaded_mb()).sum()
-    }
-
-    /// The report with every per-holder peer bucket folded under the
-    /// aggregate [`REGISTRY_PEER`] id (merged at the position of first
-    /// peer use; dead per-holder sources fold likewise) — the scalar
-    /// view of a per-pair run. The peer-plane parity regression uses
-    /// this to compare the topology-backed plane against the retained
-    /// [`crate::PeerPlane::Aggregate`] oracle byte for byte: holder ids
-    /// are labels, every measured quantity (times, bytes, energies,
-    /// bucket order) must match bitwise.
-    pub fn with_aggregated_peer_sources(&self) -> RunReport {
-        let mut out = self.clone();
-        for m in &mut out.microservices {
-            let mut folded: Vec<SourcePull> = Vec::with_capacity(m.sources.len());
-            for s in &m.sources {
-                if peer_holder(s.source).is_none() {
-                    folded.push(s.clone());
-                    continue;
-                }
-                match folded.iter_mut().find(|f| f.source == REGISTRY_PEER) {
-                    Some(f) => {
-                        f.downloaded += s.downloaded;
-                        f.layers += s.layers;
-                    }
-                    None => folded.push(SourcePull {
-                        source: REGISTRY_PEER,
-                        downloaded: s.downloaded,
-                        layers: s.layers,
-                    }),
-                }
-            }
-            m.sources = folded;
-            let mut failed: Vec<RegistryId> = Vec::with_capacity(m.failed_sources.len());
-            for &f in &m.failed_sources {
-                let id = if peer_holder(f).is_some() { REGISTRY_PEER } else { f };
-                if !failed.contains(&id) {
-                    failed.push(id);
-                }
-            }
-            m.failed_sources = failed;
-        }
-        out
     }
 }
 

@@ -18,8 +18,7 @@
 //! topology of device-to-device *peer serving* links (what rate each
 //! device streams already-cached layers to each other device, and what a
 //! connection to it costs). It defaults to the uniform
-//! `peer_bw`/`peer_overhead` mesh — the scalar model of earlier
-//! revisions, reproduced exactly — and individual pairs or whole uplinks
+//! `peer_bw`/`peer_overhead` mesh, and individual pairs or whole uplinks
 //! can be dented for hot-peer scenarios. Per-holder peer sources get
 //! mesh ids from [`REGISTRY_PEER_BASE`] and contend on the serving
 //! device's uplink (see [`route_key`]).
@@ -43,16 +42,9 @@ pub const DEVICE_SMALL: DeviceId = DeviceId(1);
 /// ([`Testbed::continuum`] only — the paper testbed has two devices).
 pub const DEVICE_CLOUD: DeviceId = DeviceId(2);
 
-/// Mesh id under which the executor registers the *aggregated* peer-cache
-/// blob source — [`PeerPlane::Aggregate`] only (ids 0 and 1 are the paper
-/// registries). The topology-backed plane registers one source per
-/// serving device instead (see [`REGISTRY_PEER_BASE`]); this id survives
-/// as the canonical "the peer plane" handle reports fold per-holder
-/// buckets under ([`crate::RunReport::with_aggregated_peer_sources`]).
-pub const REGISTRY_PEER: RegistryId = RegistryId(2);
-
 /// First mesh id handed out to additional regional registries
 /// ([`Testbed::add_regional_mirror`]); the k-th mirror gets id `3 + k`.
+/// (Ids 0 and 1 are the paper registries; id 2 is unassigned.)
 pub const REGISTRY_MIRROR_BASE: RegistryId = RegistryId(3);
 
 /// First mesh id of the per-holder peer sources: serving device `j`'s
@@ -67,7 +59,7 @@ pub fn peer_source_id(holder: DeviceId) -> RegistryId {
 }
 
 /// The serving device behind a per-holder peer mesh id, if `source` is
-/// one ([`REGISTRY_PEER`], registries and mirrors return `None`).
+/// one (registries and mirrors return `None`).
 pub fn peer_holder(source: RegistryId) -> Option<DeviceId> {
     (source.0 >= REGISTRY_PEER_BASE.0).then(|| DeviceId(source.0 - REGISTRY_PEER_BASE.0))
 }
@@ -117,10 +109,9 @@ pub struct TestbedParams {
     /// LAN (below the raw LAN rate: the peer reads from its own disk).
     ///
     /// This is the *construction-time default* the uniform
-    /// [`PeerPlane::PerPair`] mesh is built from (and the live rate of
-    /// the [`PeerPlane::Aggregate`] oracle). Mutating it on a built
-    /// testbed does not reshape the per-pair plane — throttle links
-    /// through [`Testbed::set_peer_link`] / [`Testbed::set_peer_uplink`]
+    /// [`PeerPlane`] is built from. Mutating it on a built testbed does
+    /// not reshape the plane — throttle links through
+    /// [`Testbed::set_peer_link`] / [`Testbed::set_peer_uplink`]
     /// instead.
     pub peer_bw: Bandwidth,
     /// Fixed overhead of the first peer-served layer of a pull (peer
@@ -161,13 +152,12 @@ impl Default for TestbedParams {
 
 impl TestbedParams {
     /// Pull bandwidth for a `(source, device)` route. Covers the paper
-    /// registries (ids 0/1) and the *aggregated* peer route
-    /// ([`REGISTRY_PEER`], LAN-bound and device-independent) ONLY —
-    /// regional mirrors carry their own parameters and per-holder peer
-    /// routes are per-pair links of the [`PeerPlane`]; both must be
-    /// priced through [`Testbed::source_params`], never through this
-    /// struct. Unknown ids are a pricing bug (debug assertion), not a
-    /// peer; release builds fall back to the legacy `peer_bw` value.
+    /// registries (ids 0/1) ONLY — regional mirrors carry their own
+    /// parameters and peer routes are per-pair links of the
+    /// [`PeerPlane`]; both must be priced through
+    /// [`Testbed::source_params`], never through this struct. Unknown
+    /// ids are a pricing bug (debug assertion), not a peer; release
+    /// builds fall back to the `peer_bw` value.
     pub fn route_bandwidth(&self, registry: RegistryChoice, device: DeviceId) -> Bandwidth {
         match (registry.registry_id().0, device) {
             (0, DEVICE_MEDIUM) => self.hub_to_medium,
@@ -176,7 +166,6 @@ impl TestbedParams {
             (1, DEVICE_MEDIUM) => self.regional_to_medium,
             (1, DEVICE_CLOUD) => self.regional_to_cloud,
             (1, _) => self.regional_to_small,
-            (2, _) => self.peer_bw,
             (n, _) => {
                 debug_assert!(
                     false,
@@ -188,14 +177,13 @@ impl TestbedParams {
         }
     }
 
-    /// Fixed overhead for a mesh source (paper registries + aggregated
-    /// peer route only; mirrors and per-holder peers go through
-    /// [`Testbed::source_params`] — unknown ids are a debug assertion).
+    /// Fixed overhead for a mesh source (paper registries only; mirrors
+    /// and peers go through [`Testbed::source_params`] — unknown ids are
+    /// a debug assertion).
     pub fn overhead(&self, registry: RegistryChoice) -> Seconds {
         match registry.registry_id().0 {
             0 => self.hub_overhead,
             1 => self.regional_overhead,
-            2 => self.peer_overhead,
             n => {
                 debug_assert!(
                     false,
@@ -230,107 +218,61 @@ impl TestbedParams {
 /// The fleet's peer data plane: who can serve cached image layers to
 /// whom, and how fast.
 ///
-/// The default is the topology-backed [`PeerPlane::PerPair`] plane:
-/// device-to-device links of a registry-free [`Topology`] are the source
+/// Device-to-device links of a registry-free [`Topology`] are the source
 /// of truth for peer bandwidth, one blob source per serving device (mesh
 /// ids [`peer_source_id`]) is registered in every peer-sharing pull's
 /// mesh, and upload contention is charged on the serving device's uplink
-/// ([`route_key`]). Built uniform from `peer_bw`/`peer_overhead`, it
-/// reproduces the scalar plane of earlier revisions exactly (single
-/// holder: byte for byte; see `tests/peer_plane.rs`) while letting
+/// ([`route_key`]). Built uniform from `peer_bw`/`peer_overhead`, it lets
 /// sweeps dent individual pairs ([`Testbed::set_peer_link`]) or a whole
 /// uplink ([`Testbed::set_peer_uplink`]) — a hot peer saturates like a
 /// real NIC instead of serving the whole fleet at full rate.
-///
-/// [`PeerPlane::Aggregate`] retains the scalar plane — one anonymous
-/// fleet-wide source ([`REGISTRY_PEER`]) at `peer_bw`, contended per
-/// *pulling* device — as the regression oracle the parity tests compare
-/// against.
 #[derive(Debug, Clone)]
-pub enum PeerPlane {
-    /// The scalar plane: one aggregated fleet-wide source at
-    /// `TestbedParams::peer_bw`/`peer_overhead`.
-    Aggregate,
-    /// Topology-backed per-pair links and per-holder sources.
-    PerPair {
-        /// `links.device_bandwidth(serving, pulling)` = the effective
-        /// rate at which `serving` streams cached layers to `pulling`
-        /// (disk-read-bound below the raw LAN rate; no registries).
-        links: Topology,
-        /// Per-serving-device connection overhead, charged the first
-        /// time a pull uses that holder (index = device id).
-        overheads: Vec<Seconds>,
-    },
+pub struct PeerPlane {
+    /// `links.device_bandwidth(serving, pulling)` = the effective rate at
+    /// which `serving` streams cached layers to `pulling` (disk-read-bound
+    /// below the raw LAN rate; no registries).
+    links: Topology,
+    /// Per-serving-device connection overhead, charged the first time a
+    /// pull uses that holder (index = device id).
+    overheads: Vec<Seconds>,
 }
 
 impl PeerPlane {
-    /// The uniform per-pair plane over `devices` devices: every pair at
-    /// `bw`, every holder at `overhead` — the topology expression of the
-    /// scalar `peer_bw` model.
+    /// The uniform plane over `devices` devices: every pair at `bw`,
+    /// every holder at `overhead`.
     pub fn uniform(devices: usize, bw: Bandwidth, overhead: Seconds) -> Self {
-        PeerPlane::PerPair {
-            links: Topology::uniform_mesh(devices, bw),
-            overheads: vec![overhead; devices],
-        }
-    }
-
-    /// Whether this is the scalar aggregate plane.
-    pub fn is_aggregate(&self) -> bool {
-        matches!(self, PeerPlane::Aggregate)
+        PeerPlane { links: Topology::uniform_mesh(devices, bw), overheads: vec![overhead; devices] }
     }
 
     /// The serving bandwidth of the `(serving, pulling)` pair.
-    pub fn bandwidth(
-        &self,
-        params: &TestbedParams,
-        serving: DeviceId,
-        pulling: DeviceId,
-    ) -> Bandwidth {
-        match self {
-            PeerPlane::Aggregate => params.peer_bw,
-            PeerPlane::PerPair { links, .. } => links
-                .device_bandwidth(serving, pulling)
-                .expect("peer plane covers every device pair"),
-        }
+    pub fn bandwidth(&self, serving: DeviceId, pulling: DeviceId) -> Bandwidth {
+        self.links.device_bandwidth(serving, pulling).expect("peer plane covers every device pair")
     }
 
     /// The first-use connection overhead of `serving` as a peer.
-    pub fn holder_overhead(&self, params: &TestbedParams, serving: DeviceId) -> Seconds {
-        match self {
-            PeerPlane::Aggregate => params.peer_overhead,
-            PeerPlane::PerPair { overheads, .. } => overheads[serving.0],
-        }
+    pub fn holder_overhead(&self, serving: DeviceId) -> Seconds {
+        self.overheads[serving.0]
     }
 
     /// The peer sources a wave barrier advertises to `target`, from the
-    /// per-device layer caches (index = device id): the aggregate plane
-    /// folds every other device into one [`REGISTRY_PEER`] source; the
-    /// per-pair plane yields one [`peer_source_id`] source per other
-    /// device with a non-empty cache. The executor calls this with the
-    /// real device caches, the estimator with its estimated clones — the
-    /// single rule both sides share is what keeps them bit-for-bit.
+    /// per-device layer caches (index = device id): one
+    /// [`peer_source_id`] source per other device with a non-empty
+    /// cache. The executor calls this with the real device caches, the
+    /// estimator with its estimated clones — the single rule both sides
+    /// share is what keeps them bit-for-bit.
     pub fn snapshot(
         &self,
         caches: &[&LayerCache],
         target: usize,
     ) -> Vec<(RegistryId, PeerCacheSource)> {
-        match self {
-            PeerPlane::Aggregate => vec![(
-                REGISTRY_PEER,
-                PeerCacheSource::from_caches(
-                    "peer-cache",
-                    caches.iter().enumerate().filter(|(k, _)| *k != target).map(|(_, c)| *c),
-                ),
-            )],
-            PeerPlane::PerPair { .. } => caches
-                .iter()
-                .enumerate()
-                .filter(|(k, c)| *k != target && !c.is_empty())
-                .map(|(k, c)| {
-                    (peer_source_id(DeviceId(k)), PeerCacheSource::for_holder(DeviceId(k), c))
-                })
-                .collect(),
-        }
+        caches
+            .iter()
+            .enumerate()
+            .filter(|(k, c)| *k != target && !c.is_empty())
+            .map(|(k, c)| {
+                (peer_source_id(DeviceId(k)), PeerCacheSource::for_holder(DeviceId(k), c))
+            })
+            .collect()
     }
 }
 
@@ -379,8 +321,8 @@ pub(crate) fn source_params_for(
 ) -> SourceParams {
     if let Some(holder) = peer_holder(choice.registry_id()) {
         return SourceParams {
-            download_bw: peer_plane.bandwidth(params, holder, device).scale(1.0 / slowdown),
-            overhead: peer_plane.holder_overhead(params, holder),
+            download_bw: peer_plane.bandwidth(holder, device).scale(1.0 / slowdown),
+            overhead: peer_plane.holder_overhead(holder),
         };
     }
     match mirrors.iter().find(|m| m.choice == choice) {
@@ -402,8 +344,7 @@ pub struct Testbed {
     pub mirrors: Vec<RegionalMirror>,
     pub params: TestbedParams,
     /// The peer data plane: per-pair serving links and per-holder
-    /// sources by default (built uniform from `peer_bw`/`peer_overhead`),
-    /// or the retained scalar [`PeerPlane::Aggregate`] oracle.
+    /// sources (built uniform from `peer_bw`/`peer_overhead`).
     pub peer_plane: PeerPlane,
     /// Per-source failure probabilities (per-pull fatal + per-fetch
     /// transient rates) and the retry policy absorbing the transients.
@@ -734,7 +675,7 @@ impl Testbed {
     }
 
     /// [`SourceParams`] for one source→device route (paper registries,
-    /// aggregated peer, per-holder peers, or mirrors), with the route
+    /// per-holder peers, or mirrors), with the route
     /// slowed by `slowdown` (contention factor ≥ 1). The mesh-wide
     /// generalization of [`TestbedParams::source_params`].
     pub fn source_params(
@@ -748,18 +689,15 @@ impl Testbed {
 
     /// The serving bandwidth of one `(serving, pulling)` peer pair.
     pub fn peer_bandwidth(&self, serving: DeviceId, pulling: DeviceId) -> Bandwidth {
-        self.peer_plane.bandwidth(&self.params, serving, pulling)
+        self.peer_plane.bandwidth(serving, pulling)
     }
 
-    /// Dent one directed peer link (requires the per-pair plane; the
-    /// scalar aggregate oracle has no pairs to dent).
+    /// Dent one directed peer link.
     pub fn set_peer_link(&mut self, serving: DeviceId, pulling: DeviceId, bw: Bandwidth) {
-        match &mut self.peer_plane {
-            PeerPlane::PerPair { links, .. } => links
-                .set_device_bandwidth(serving, pulling, bw)
-                .expect("peer plane covers every device pair"),
-            PeerPlane::Aggregate => panic!("the aggregate peer plane has no per-pair links"),
-        }
+        self.peer_plane
+            .links
+            .set_device_bandwidth(serving, pulling, bw)
+            .expect("peer plane covers every device pair");
     }
 
     /// Throttle every link *from* `serving` — the hot-peer scenario's
@@ -996,7 +934,6 @@ mod tests {
         assert_eq!(id, RegistryId(REGISTRY_PEER_BASE.0 + 1));
         assert_eq!(peer_holder(id), Some(DEVICE_SMALL));
         assert_eq!(peer_holder(RegistryChoice::Hub.registry_id()), None);
-        assert_eq!(peer_holder(REGISTRY_PEER), None);
         assert_eq!(peer_holder(REGISTRY_MIRROR_BASE), None);
         // Registry routes contend per pulling device; peer traffic
         // contends on the holder's uplink regardless of who pulls.
@@ -1008,11 +945,10 @@ mod tests {
     #[test]
     fn default_peer_plane_is_the_uniform_mesh() {
         let t = Testbed::paper();
-        assert!(!t.peer_plane.is_aggregate());
         assert_eq!(t.peer_bandwidth(DEVICE_MEDIUM, DEVICE_SMALL), t.params.peer_bw);
         assert_eq!(t.peer_bandwidth(DEVICE_SMALL, DEVICE_MEDIUM), t.params.peer_bw);
         // Per-holder source params come off the plane, matching the
-        // scalar parameters exactly on the uniform default.
+        // construction-time parameters exactly on the uniform default.
         let p =
             t.source_params(RegistryChoice::mesh(peer_source_id(DEVICE_MEDIUM)), DEVICE_SMALL, 1.0);
         assert_eq!(p.download_bw, t.params.peer_bw);
@@ -1060,13 +996,6 @@ mod tests {
         assert_eq!(sources[0].1.holder(), Some(DEVICE_CLOUD));
         assert!(sources[0].1.has_blob(&digest));
         assert!(t.peer_plane.snapshot(&caches, DEVICE_CLOUD.0).is_empty(), "no self-serving");
-        // The aggregate oracle folds everyone into one anonymous source.
-        t.peer_plane = PeerPlane::Aggregate;
-        let folded = t.peer_plane.snapshot(&caches, DEVICE_MEDIUM.0);
-        assert_eq!(folded.len(), 1);
-        assert_eq!(folded[0].0, REGISTRY_PEER);
-        assert_eq!(folded[0].1.holder(), None);
-        assert!(folded[0].1.has_blob(&digest));
     }
 
     #[cfg(debug_assertions)]

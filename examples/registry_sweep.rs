@@ -23,13 +23,16 @@ use deep::core::{
     ExclusiveRegistry, Scheduler,
 };
 use deep::dataflow::{apps, DeviceClass};
-use deep::netsim::{Bandwidth, DataSize};
+use deep::netsim::{Bandwidth, DataSize, RegistryId};
 use deep::registry::{LayerCache, PeerCacheSource, Platform, Reference, SourceParams};
 use deep::scenario::Scenario;
 use deep::simulator::{
     execute, ExecutorConfig, RegistryChoice, Schedule, Testbed, TestbedParams, DEVICE_MEDIUM,
-    REGISTRY_PEER,
 };
+
+/// Mesh id of the anonymous peer-cache blob source the split-pull
+/// scenarios register next to the paper registries (ids 0 and 1).
+const PEER_CACHE: RegistryId = RegistryId(2);
 
 fn load_scenario(file: &str) -> Scenario {
     let path = format!("{}/scenarios/{file}", env!("CARGO_MANIFEST_DIR"));
@@ -151,7 +154,7 @@ fn mesh_sweep() {
 
     // Full mesh: hub + regional + warm peer.
     let mut full = tb.mesh(DEVICE_MEDIUM);
-    full.add_blob_source(REGISTRY_PEER, &peer, peer_params);
+    full.add_blob_source(PEER_CACHE, &peer, peer_params);
     let split = full
         .session(RegistryChoice::Hub.registry_id())
         .extract_bw(extract)

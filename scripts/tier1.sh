@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 verification: formatting, lints, release build, full test suite,
-# the benchmark's smoke test, a compile check of every criterion bench,
-# and a smoke-run of every example so the sweeps (registry_sweep's
+# Tier-1 verification: formatting, lints, rustdoc links, release build,
+# full test suite, the benchmark's smoke test, a compile check of every
+# criterion bench, and a smoke-run of every example so the sweeps (registry_sweep's
 # mesh/N-regional scenarios and friends, fault_sweep's failure-rate ×
 # registry-count grid) cannot silently rot.
 #
@@ -30,6 +30,11 @@ cargo fmt "${PKG_FLAGS[@]}" -- --check
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy "${PKG_FLAGS[@]}" --all-targets -- -D warnings
+
+echo "==> cargo doc -D warnings (intra-doc links must resolve)"
+# rustdoc is the only check that catches a dangling intra-doc link: a
+# deleted item that doc comments still name fails here, not in the build.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps "${PKG_FLAGS[@]}"
 
 echo "==> cargo build --release"
 cargo build --release

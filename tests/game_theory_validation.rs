@@ -2,10 +2,7 @@
 //! solvers must agree with each other and with independent checks, on
 //! random games — the confidence basis for trusting DEEP's scheduler.
 
-use deep::game::{
-    best_response_dynamics, is_ess, lemke_howson, replicator_dynamics, support_enumeration,
-    Bimatrix, Matrix, MixedStrategy,
-};
+use deep::game::{lemke_howson, support_enumeration, Bimatrix, Matrix};
 use proptest::prelude::*;
 // Explicit trait imports: proptest's prelude globs its own (rand 0.9)
 // `Rng`, which would otherwise shadow the workspace rand 0.8 traits.
@@ -60,56 +57,6 @@ fn support_enumeration_finds_odd_number_of_equilibria() {
         }
     }
     assert!(odd * 10 >= total * 9, "oddness violated too often: {odd}/{total}");
-}
-
-#[test]
-fn best_response_fixed_points_are_pure_equilibria() {
-    for seed in 0..30u64 {
-        let game = random_game(4, 4, seed + 999);
-        let out = best_response_dynamics(&game, (0, 0), 200);
-        if out.converged {
-            let pures = game.pure_equilibria();
-            assert!(
-                pures.contains(&out.profile),
-                "seed {seed}: BRD fixed point {:?} not a pure NE {:?}",
-                out.profile,
-                pures
-            );
-        }
-    }
-}
-
-#[test]
-fn ess_implies_nash_in_symmetric_games() {
-    for seed in 0..30u64 {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let a = Matrix::from_fn(3, 3, |_, _| (rng.gen_range(0..100) as f64) / 10.0);
-        let game = Bimatrix::new(a.clone(), a.transpose());
-        for i in 0..3 {
-            let x = MixedStrategy::pure(i, 3);
-            if is_ess(&a, &x, 1e-9) {
-                assert!(game.is_nash(&x, &x), "seed {seed}: ESS {i} is not Nash");
-            }
-        }
-    }
-}
-
-#[test]
-fn replicator_converged_interior_points_verify_as_equilibria() {
-    for seed in 0..20u64 {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed + 77);
-        let a = Matrix::from_fn(2, 2, |_, _| (rng.gen_range(0..100) as f64) / 10.0);
-        let game = Bimatrix::new(a.clone(), a.transpose());
-        let (x, converged) =
-            replicator_dynamics(&a, &MixedStrategy::new(vec![0.6, 0.4]), 50_000, 1e-13);
-        if converged {
-            // Converged points are fixed points; interior ones must be
-            // Nash of the symmetric game.
-            if x.as_pure().is_none() {
-                assert!(game.is_nash(&x, &x), "seed {seed}: {x}");
-            }
-        }
-    }
 }
 
 proptest! {

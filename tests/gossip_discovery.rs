@@ -23,11 +23,16 @@
 //!    serves vanished bytes: the pull pays the mesh's mid-pull failover,
 //!    and the chaos path's epoch bump ages the stale ad out of the
 //!    fleet's views.
-//! 5. **Delta/oracle backend parity** — the epoch-vector delta plane
-//!    (PR 10) reproduces the retained clone-based exchange
-//!    ([`PeerDiscovery::GossipOracle`]) byte for byte through the whole
-//!    pipeline: same Schedules, same RunReports, under bounded views,
-//!    fault pricing, and chaos timelines alike.
+//! 5. **Delta/oracle parity through the pipeline** — the epoch-vector
+//!    delta plane reproduces, byte for byte, the Schedules and
+//!    RunReports the retained clone-based exchange produced for the
+//!    same scenarios (bounded views, fault pricing, chaos timelines),
+//!    pinned as digests.
+//!
+//! The epoch-vector exchange and the plane's view cache are also pinned
+//! against the clone-based reference exchange at the plane's own
+//! interface, by the differential script proptest in the simulator's
+//! `gossip` module.
 
 use deep::core::{DeepScheduler, EstimationContext, Scheduler};
 use deep::dataflow::{self, apps, Application};
@@ -298,60 +303,66 @@ fn bounded_mesh_views_are_subsets_of_the_full_view() {
 }
 
 // ---------------------------------------------------------------------
-// 5. Delta/oracle backend parity through the full pipeline.
+// 5. Delta/oracle parity through the full pipeline, against pins.
 // ---------------------------------------------------------------------
 
-/// Schedule and execute under the delta plane and under the retained
-/// clone-based oracle with the *same* gossip parameters, and require
-/// byte-identical Schedules and RunReports. Unlike the snapshot-parity
-/// suite this runs *bounded, slow* epidemics too — the regime where the
-/// delta exchange and view cache actually have partial state to get
-/// wrong — and threads a chaos timeline through both backends.
-fn assert_backend_parity(
+/// Schedule and execute under gossip discovery with the given
+/// parameters; returns `Digest::short` of the serialized Schedule and
+/// RunReport. Unlike the snapshot-parity suite this runs *bounded,
+/// slow* epidemics too — the regime where the delta exchange and view
+/// cache actually have partial state to get wrong — and threads a chaos
+/// timeline through the executor.
+fn gossip_pipeline_digests(
     app: &Application,
     fanout: u32,
     view_size: u32,
     rounds_per_wave: u32,
     fault_aware: bool,
     events: &[ChaosEvent],
-) {
-    let run = |discovery: PeerDiscovery| -> (Schedule, RunReport) {
-        let mut tb = continuum();
-        tb.publish_application(app);
-        if fault_aware {
-            tb.fault_model = FaultModel::default().with_source(
-                RegistryChoice::Regional.registry_id(),
-                FaultRates { fatal_per_pull: 0.2, transient_per_fetch: 0.1 },
-            );
-        }
-        let warm = Schedule::uniform(app.len(), RegistryChoice::Hub, DEVICE_MEDIUM);
-        execute(&mut tb, app, &warm, &ExecutorConfig::default()).unwrap();
-        let scheduler = DeepScheduler {
-            peer_sharing: true,
-            price_faults: fault_aware,
-            peer_discovery: discovery,
-            ..DeepScheduler::default()
-        };
-        let schedule = scheduler.schedule(app, &tb);
-        let cfg =
-            ExecutorConfig { peer_sharing: true, peer_discovery: discovery, ..Default::default() };
-        let (report, _) = execute_with_events(&mut tb, app, &schedule, &cfg, events).unwrap();
-        (schedule, report)
+) -> (String, String) {
+    let discovery = PeerDiscovery::Gossip { fanout, view_size, rounds_per_wave };
+    let mut tb = continuum();
+    tb.publish_application(app);
+    if fault_aware {
+        tb.fault_model = FaultModel::default().with_source(
+            RegistryChoice::Regional.registry_id(),
+            FaultRates { fatal_per_pull: 0.2, transient_per_fetch: 0.1 },
+        );
+    }
+    let warm = Schedule::uniform(app.len(), RegistryChoice::Hub, DEVICE_MEDIUM);
+    execute(&mut tb, app, &warm, &ExecutorConfig::default()).unwrap();
+    let scheduler = DeepScheduler {
+        peer_sharing: true,
+        price_faults: fault_aware,
+        peer_discovery: discovery,
+        ..DeepScheduler::default()
     };
-    let (schedule_delta, report_delta) =
-        run(PeerDiscovery::Gossip { fanout, view_size, rounds_per_wave });
-    let (schedule_oracle, report_oracle) =
-        run(PeerDiscovery::GossipOracle { fanout, view_size, rounds_per_wave });
+    let schedule = scheduler.schedule(app, &tb);
+    let cfg =
+        ExecutorConfig { peer_sharing: true, peer_discovery: discovery, ..Default::default() };
+    let (report, _) = execute_with_events(&mut tb, app, &schedule, &cfg, events).unwrap();
+    let digest = |json: String| Digest::of(json.as_bytes()).short().to_string();
+    (
+        digest(serde_json::to_string(&schedule).unwrap()),
+        digest(serde_json::to_string(&report).unwrap()),
+    )
+}
+
+/// The pins below are the Schedule and RunReport digests the retained
+/// clone-based exchange (`deep_netsim::gossip::oracle`) produced
+/// through the whole pipeline, when it was still selectable as a
+/// discovery backend, for exactly these scenarios. The delta plane must
+/// keep reproducing them byte for byte.
+fn assert_matches_oracle_pin(
+    app: &Application,
+    (fanout, view_size, rounds_per_wave, fault_aware): (u32, u32, u32, bool),
+    events: &[ChaosEvent],
+    (schedule, report): (&str, &str),
+) {
     assert_eq!(
-        serde_json::to_string(&schedule_delta).unwrap(),
-        serde_json::to_string(&schedule_oracle).unwrap(),
-        "{} (fanout {fanout}, view {view_size}): delta backend changed the schedule",
-        app.name()
-    );
-    assert_eq!(
-        serde_json::to_string(&report_delta).unwrap(),
-        serde_json::to_string(&report_oracle).unwrap(),
-        "{} (fanout {fanout}, view {view_size}): delta backend changed the RunReport",
+        gossip_pipeline_digests(app, fanout, view_size, rounds_per_wave, fault_aware, events),
+        (schedule.to_string(), report.to_string()),
+        "{} (fanout {fanout}, view {view_size}): the delta plane left the oracle's output",
         app.name()
     );
 }
@@ -360,33 +371,47 @@ fn assert_backend_parity(
 fn case_studies_delta_matches_the_clone_based_oracle() {
     // Converged, bounded-view, and starved-epidemic regimes, with and
     // without fault pricing.
-    for app in apps::case_studies() {
-        assert_backend_parity(&app, u32::MAX, u32::MAX, 1, false, &[]);
-        assert_backend_parity(&app, 2, 2, 1, true, &[]);
-        assert_backend_parity(&app, 1, 1, 1, false, &[]);
+    let regimes = [(u32::MAX, u32::MAX, 1, false), (2, 2, 1, true), (1, 1, 1, false)];
+    let pins = [
+        ("video-processing", ("b0d360fafdd2", "ae9a737e13e0")),
+        ("text-processing", ("0e93070a75f7", "92e5d7673000")),
+    ];
+    let apps = apps::case_studies();
+    for (name, pin) in pins {
+        let app = apps.iter().find(|a| a.name() == name).expect("pinned case study exists");
+        for regime in regimes {
+            assert_matches_oracle_pin(app, regime, &[], pin);
+        }
     }
 }
 
 #[test]
 fn chaos_timelines_delta_matches_the_clone_based_oracle() {
     // Cache-pressure chaos drives the eviction → readvertise → age-out
-    // path: the delta backend's epoch bump and view-cache invalidation
-    // must replay exactly what the clone-based exchange does.
+    // path: the delta plane's epoch bump and view-cache invalidation
+    // must replay exactly what the clone-based exchange did.
     let app = apps::video_processing();
     let events = [ChaosEvent::cache_pressure(Seconds::new(1.0), DEVICE_MEDIUM, DataSize::ZERO)];
-    assert_backend_parity(&app, u32::MAX, u32::MAX, 1, false, &events);
-    assert_backend_parity(&app, 2, 2, 1, false, &events);
+    let pin = ("b0d360fafdd2", "42e749f96d98");
+    assert_matches_oracle_pin(&app, (u32::MAX, u32::MAX, 1, false), &events, pin);
+    assert_matches_oracle_pin(&app, (2, 2, 1, false), &events, pin);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Generated applications under a bounded view: the delta plane and
-    /// the clone-based oracle stay byte-identical across the population.
-    #[test]
-    fn generated_apps_delta_matches_the_clone_based_oracle(seed in 0u64..500) {
+#[test]
+fn generated_apps_delta_matches_the_clone_based_oracle() {
+    // Generated applications under a bounded view: the six seeds the
+    // former proptest over `0..500` drew, with the oracle's digests.
+    let pins = [
+        (147, ("e186c2c50870", "8550745205b2")),
+        (195, ("d7876fe4c438", "ca3494b95f25")),
+        (96, ("c368dce898ce", "78b338bfe5e9")),
+        (233, ("840c7b959b94", "49ff4967c5e6")),
+        (375, ("3942f0d74306", "363ded0fa47e")),
+        (419, ("095cf94db44b", "63f182be7cf6")),
+    ];
+    for (seed, pin) in pins {
         let app = dataflow::DagGenerator::default().generate(seed);
-        assert_backend_parity(&app, 2, 2, 1, false, &[]);
+        assert_matches_oracle_pin(&app, (2, 2, 1, false), &[], pin);
     }
 }
 

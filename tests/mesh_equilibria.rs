@@ -18,14 +18,17 @@
 use deep::core::{calibration, DeepScheduler, ExclusiveRegistry, Scheduler};
 use deep::dataflow::{self, apps, Application, MicroserviceId};
 use deep::game::{support_enumeration, Bimatrix, Matrix};
-use deep::netsim::{Bandwidth, DataSize, DeviceId, Seconds};
+use deep::netsim::{Bandwidth, DataSize, DeviceId, RegistryId, Seconds};
 use deep::registry::{LayerCache, PeerCacheSource, Platform, PullPlanner, Reference, SourceParams};
 use deep::simulator::{
-    execute, ExecutorConfig, Placement, RegistryChoice, RunReport, Schedule, Testbed,
-    DEVICE_MEDIUM, REGISTRY_PEER,
+    execute, ExecutorConfig, Placement, RegistryChoice, RunReport, Schedule, Testbed, DEVICE_MEDIUM,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
+
+/// Mesh id of the anonymous peer-cache blob source the split-pull
+/// tests register next to the paper registries (ids 0 and 1).
+const PEER_CACHE: RegistryId = RegistryId(2);
 
 // ---------------------------------------------------------------------
 // The seed two-registry Nash solver, reimplemented as an oracle on the
@@ -298,7 +301,7 @@ fn peer_bytes_at(peer_bw: Bandwidth) -> DataSize {
     let peer = PeerCacheSource::from_caches("peer-cache", [&peer_cache]);
     let mut mesh = tb.mesh(DEVICE_MEDIUM);
     mesh.add_blob_source(
-        REGISTRY_PEER,
+        PEER_CACHE,
         &peer,
         SourceParams { download_bw: peer_bw, overhead: tb.params.peer_overhead },
     );
@@ -312,7 +315,7 @@ fn peer_bytes_at(peer_bw: Bandwidth) -> DataSize {
         .unwrap();
     out.per_source
         .iter()
-        .find(|b| b.source == REGISTRY_PEER)
+        .find(|b| b.source == PEER_CACHE)
         .map(|b| b.downloaded)
         .unwrap_or(DataSize::ZERO)
 }

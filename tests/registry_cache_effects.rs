@@ -9,9 +9,11 @@ use deep::registry::{
     Digest, LayerCache, ManifestSource, PeerCacheSource, Platform, PullPlanner, Reference,
     SourceParams,
 };
-use deep::simulator::{
-    execute, ExecutorConfig, RegistryChoice, Schedule, DEVICE_MEDIUM, REGISTRY_PEER,
-};
+use deep::simulator::{execute, ExecutorConfig, RegistryChoice, Schedule, DEVICE_MEDIUM};
+
+/// Mesh id of the anonymous peer-cache blob source the split-pull
+/// tests register next to the paper registries (ids 0 and 1).
+const PEER_CACHE: RegistryId = RegistryId(2);
 
 #[test]
 fn second_deployment_of_an_application_is_nearly_free() {
@@ -158,7 +160,7 @@ fn split_pull_beats_the_best_single_registry_pull() {
 
     let mut mesh = tb.mesh(DEVICE_MEDIUM);
     mesh.add_blob_source(
-        REGISTRY_PEER,
+        PEER_CACHE,
         &peer,
         SourceParams { download_bw: tb.params.peer_bw, overhead: tb.params.peer_overhead },
     );
@@ -180,7 +182,7 @@ fn split_pull_beats_the_best_single_registry_pull() {
     let peer_bytes = split
         .per_source
         .iter()
-        .find(|b| b.source == REGISTRY_PEER)
+        .find(|b| b.source == PEER_CACHE)
         .map(|b| b.downloaded)
         .unwrap_or(DataSize::ZERO);
     assert_eq!(peer_bytes, DataSize::megabytes(5200.0));
@@ -204,7 +206,7 @@ fn split_pull_layers_land_in_the_device_cache_once() {
     let ha = Reference::new("docker.io", "sina88/vp-ha-train", "amd64");
     let mut mesh = tb.mesh(DEVICE_MEDIUM);
     mesh.add_blob_source(
-        REGISTRY_PEER,
+        PEER_CACHE,
         &peer,
         SourceParams { download_bw: tb.params.peer_bw, overhead: tb.params.peer_overhead },
     );
