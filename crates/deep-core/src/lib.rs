@@ -31,7 +31,10 @@
 //!   peer distribution), so the scheduler *prices* which peer a pull
 //!   fetches from — saturated uplinks shift the equilibrium — instead
 //!   of discovering fleet-resident layers at deployment time.
-//!   Estimator and executor stay bit-for-bit parity-tested, and the
+//!   Estimator and executor build each pull's mesh, charge its route
+//!   loads and step peer discovery through the same `deep-simulator`
+//!   functions, so they agree bit for bit by construction
+//!   (`tests/wave_parity.rs` checks random mirrored placements), and the
 //!   case-study schedules and run reports are pinned by digest
 //!   (`tests/peer_plane.rs`). Discovery itself is a knob:
 //!   [`DeepScheduler::peer_discovery`] switches the priced mesh from

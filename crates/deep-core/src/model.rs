@@ -3,41 +3,39 @@
 //!
 //! `CT(m_i, r_g, d_j) = Size/BW_gj + Size_ui/BW_kj + CPU(m_i)/CPU_j` and
 //! `EC(m_i, r_g, d_j) = Ea + Es`, evaluated *predictively* while the
-//! scheduler walks the DAG: the context tracks the layer caches,
-//! per-source route loads and (optionally) the per-wave peer-cache
-//! snapshots that the executor will later realise, so the scheduler's
-//! payoffs and the simulator's measurements agree bit for bit.
+//! scheduler walks the DAG in barrier order. The context mirrors the
+//! executor's wave state over estimated layer caches and decides every
+//! wave question through the same `deep-simulator` function the executor
+//! calls, so the scheduler's payoffs and the simulator's measurements
+//! agree bit for bit by construction:
 //!
-//! Three mesh-wide generalizations over the seed two-registry model:
+//! * **Mesh membership and route parameters** — [`Testbed::wave_mesh`]:
+//!   the placement's registry as primary, one source per peer holder of
+//!   the puller's view, and (under fault or scenario pricing) every other
+//!   full registry as a failover standby. The estimator attaches the raw
+//!   registries; the executor attaches its seeded fault wrappers.
+//! * **Route contention** — [`RouteLoads`]: same-wave load per contention
+//!   resource ([`deep_simulator::route_key`]). A split pull charges each
+//!   `SourcePull` bucket to the resource that carried it (registry
+//!   buckets their download route, peer buckets the serving holder's
+//!   uplink), and each source's slowdown is its contention factor times
+//!   any scripted degradation window.
+//! * **Peer discovery** — [`PeerViews`]: one barrier step that runs the
+//!   omniscient snapshot or the seeded gossip epidemic over the caches,
+//!   so discovery lag and bounded views are priced exactly as they are
+//!   realised.
 //!
-//! * **Per-source route contention** — same-wave load is tracked per
-//!   contention resource ([`deep_simulator::route_key`]): registry
-//!   buckets load their `(RegistryId, device)` download route, peer
-//!   buckets the *serving* device's uplink. A split pull charges each
-//!   `SourcePull`'s bytes to the resource that actually carried them,
-//!   not once to its primary. Single-source pulls reduce to the seed
-//!   accounting exactly.
-//! * **Split-pull pricing** — with [`EstimationContext::peer_sharing`] on,
-//!   estimates and commits run through the same
-//!   registry-plus-peer-sources mesh the executor realises, so
-//!   schedulers can *price* the layers a fleet peer already holds
-//!   instead of discovering them at deployment time.
-//! * **Topology-backed peer plane** — the peer sources come from the
-//!   testbed's [`deep_simulator::PeerPlane`]: one source per advertising
-//!   holder at its per-pair link rate, so a hot peer's saturated uplink
-//!   is visible to the payoffs ("which peer do I pull from" becomes part
-//!   of the equilibrium). Under gossip discovery the holders come from
-//!   the estimator's own [`deep_simulator::GossipPlane`], run in lockstep
-//!   with the executor's.
+//! What the estimator still approximates is the *clock* under faults:
+//! it advances by happy-path wave spans (see [`ScenarioPricing`]).
 
 use deep_dataflow::{Application, MicroserviceId};
 use deep_energy::Joules;
-use deep_netsim::{Bandwidth, DataSize, DeviceId, RegistryId, Seconds};
+use deep_netsim::{DataSize, DeviceId, RegistryId, Seconds};
 use deep_registry::{
-    CatalogEntry, FaultModel, ImageManifest, LayerCache, PeerCacheSource, Platform, PullOutcome,
-    PullSession, Reference, RegistryMesh,
+    CatalogEntry, ImageManifest, LayerCache, OutageWindow, Platform, PullOutcome, PullSession,
+    Reference, RegistryMesh,
 };
-use deep_simulator::{route_key, Placement, RegistryChoice, Testbed};
+use deep_simulator::{PeerDiscovery, PeerViews, Placement, RegistryChoice, RouteLoads, Testbed};
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -92,91 +90,6 @@ impl Estimate {
     }
 }
 
-/// Same-wave route contention, sharded per registry source: one dense
-/// per-device lane vector per `RegistryId` instead of a flat
-/// `HashMap<(RegistryId, usize), usize>`.
-///
-/// Both halves of a contention key ([`deep_simulator::route_key`]) have
-/// natural shard structure — the source id picks the shard, the device
-/// slot (pulling device for registry sources, serving holder for peer
-/// uplinks) indexes the lane — so the fleet-scale payoff fan-out reads
-/// loads with one shard lookup plus an array index, no per-candidate key
-/// hashing, and the whole structure is `&self`-shareable across the
-/// rayon workers evaluating different devices of the same wave
-/// (estimates never mutate loads; only commits charge them).
-///
-/// Values are identical to the map they replace, so every estimate that
-/// reads through [`deep_simulator::TestbedParams::contention_factor`]
-/// sees the same integers and prices the same floats.
-///
-/// Lanes are created on first charge and *zeroed, not dropped* on wave
-/// barriers (`clear` walks the charged keys only), so steady-state waves
-/// allocate nothing.
-#[derive(Debug, Clone, Default)]
-pub struct RouteLoads {
-    /// Per-source lane vectors, `lane[device_slot] = same-wave load`.
-    shards: HashMap<RegistryId, Vec<usize>>,
-    /// Keys charged since the last clear (0→1 transitions only), for
-    /// O(charged) barrier resets without deallocating lanes.
-    touched: Vec<(RegistryId, usize)>,
-    /// Lane length: one slot per testbed device.
-    slots: usize,
-}
-
-impl RouteLoads {
-    /// Empty load state for a testbed with `slots` devices.
-    pub fn new(slots: usize) -> Self {
-        RouteLoads { shards: HashMap::new(), touched: Vec::new(), slots }
-    }
-
-    /// The load on one contention resource (0 when never charged).
-    pub fn get(&self, key: (RegistryId, usize)) -> usize {
-        debug_assert!(key.1 < self.slots, "device slot out of range");
-        self.shards.get(&key.0).map_or(0, |lane| lane[key.1])
-    }
-
-    /// Charge one more same-wave pull to a contention resource.
-    pub fn charge(&mut self, key: (RegistryId, usize)) {
-        debug_assert!(key.1 < self.slots, "device slot out of range");
-        let lane = self.shards.entry(key.0).or_insert_with(|| vec![0; self.slots]);
-        if lane[key.1] == 0 {
-            self.touched.push(key);
-        }
-        lane[key.1] += 1;
-    }
-
-    /// Set a resource's load outright (carried-in contention).
-    pub fn set(&mut self, key: (RegistryId, usize), load: usize) {
-        debug_assert!(key.1 < self.slots, "device slot out of range");
-        if load == 0 {
-            return;
-        }
-        let lane = self.shards.entry(key.0).or_insert_with(|| vec![0; self.slots]);
-        if lane[key.1] == 0 {
-            self.touched.push(key);
-        }
-        lane[key.1] = load;
-    }
-
-    /// Wave barrier: zero every charged slot, keeping the lanes.
-    pub fn clear(&mut self) {
-        for (source, slot) in self.touched.drain(..) {
-            if let Some(lane) = self.shards.get_mut(&source) {
-                lane[slot] = 0;
-            }
-        }
-    }
-
-    /// Build from the flat map form (the public carry-in API).
-    fn from_map(slots: usize, map: &HashMap<(RegistryId, usize), usize>) -> Self {
-        let mut loads = RouteLoads::new(slots);
-        for (&key, &load) in map {
-            loads.set(key, load);
-        }
-        loads
-    }
-}
-
 /// Walks the application in barrier order, mirroring the executor's cache
 /// and contention state without touching the real testbed.
 pub struct EstimationContext<'t> {
@@ -185,30 +98,25 @@ pub struct EstimationContext<'t> {
     /// Estimated per-device layer caches (cloned cold or warm from the
     /// testbed).
     caches: Vec<LayerCache>,
-    /// Same-wave per-source route loads, sharded per registry source
-    /// (see [`RouteLoads`]), reset at each barrier.
+    /// Same-wave route loads, reset at each barrier.
     route_load: RouteLoads,
     /// Devices of already-committed microservices (for `Tc`).
     assigned: Vec<Option<Placement>>,
     /// Mirror an executor running with `peer_sharing`: every estimate and
-    /// commit adds the wave's peer sources to the pull mesh.
+    /// commit adds the puller's peer view to the pull mesh.
     peer_sharing: bool,
-    /// Per-device peer snapshots, rebuilt at each wave barrier through
-    /// the testbed's [`deep_simulator::PeerPlane`] (`peer_snapshots[j]` =
-    /// the sources device j's pulls see: one per advertising holder).
-    peer_snapshots: Vec<Vec<(RegistryId, PeerCacheSource)>>,
-    /// The estimator's image of the executor's gossip discovery plane
-    /// (`None` = omniscient snapshot discovery). Runs the *same*
-    /// epidemic over the estimated caches, seeded identically, so a
-    /// layer gossip hasn't propagated is priced as a layer the
-    /// scheduler cannot count on — and bounded views bound the priced
-    /// mesh exactly as they bound the executed one.
-    gossip: Option<deep_simulator::GossipPlane>,
-    /// Price expected deployment time under the testbed's
-    /// [`FaultModel`] instead of the happy path: `E[Td]` folds the
-    /// primary's per-pull death probability × the failover re-plan cost
-    /// (surviving-source re-fetch) plus the expected retry backoff of
-    /// the transient channel into every estimate.
+    /// The estimator's image of the executor's peer discovery: the same
+    /// plane, seeded identically and stepped once per
+    /// [`EstimationContext::begin_wave`], run over the estimated caches
+    /// for every device. A layer gossip hasn't propagated is priced as a
+    /// layer the scheduler cannot count on, and bounded views bound the
+    /// priced mesh exactly as they bound the executed one.
+    peers: PeerViews,
+    /// Price expected deployment time under the testbed's fault model
+    /// instead of the happy path: `E[Td]` folds the primary's per-pull
+    /// death probability × the failover re-plan cost (surviving-source
+    /// re-fetch) plus the expected retry backoff of the transient
+    /// channel into every estimate.
     price_faults: bool,
     /// Price scripted scenarios: Monte-Carlo `E[Td]` over the
     /// replication seed stream, clock-gated on the scripted outage
@@ -232,26 +140,19 @@ pub struct EstimationContext<'t> {
     /// scenario draws consult the same [`deep_registry::FaultPlan`]
     /// cells the injecting executor will.
     pulls_committed: u64,
-    /// Route loads carried into the *first* wave instead of starting
-    /// clean — the online hand-off for an application admitted into a
-    /// wave other pulls already load (see
-    /// [`EstimationContext::with_initial_route_load`]). Consumed by the
-    /// first [`EstimationContext::begin_wave`]; later barriers clear as
-    /// usual.
-    initial_route_load: Option<RouteLoads>,
     /// Per-microservice `application/microservice` calibration keys,
     /// precomputed once — the estimate hot path reads them once per
     /// `(registry, device)` candidate.
     scoped: Vec<String>,
     /// Per-microservice catalog entries, resolved once at construction
-    /// (`None` when the app wasn't yet published; `estimate` then falls
+    /// (`None` when the app wasn't yet published; estimates then fall
     /// back to the per-call lookup).
     entries: Vec<Option<&'t CatalogEntry>>,
     /// Memoized primary-manifest resolutions keyed
     /// `(registry, microservice, platform)`, filled by
-    /// [`EstimationContext::prefetch_manifests`]. Estimates and commits
-    /// plan against the memo through [`PullSession::preresolved`] when
-    /// warm and resolve per call otherwise — identically either way: the
+    /// [`EstimationContext::prefetch_manifests`]. Every pull plans
+    /// against the memo through [`PullSession::preresolved`] when warm
+    /// and resolves per call otherwise — identically either way: the
     /// testbed is immutably borrowed for the context's lifetime, so a
     /// memoized resolution cannot go stale.
     manifests: HashMap<(RegistryId, usize, Platform), (Reference, ImageManifest)>,
@@ -270,83 +171,6 @@ pub struct EstimationContext<'t> {
     fatal_memo: Mutex<HashMap<(u64, RegistryId), u32>>,
 }
 
-/// The pull mesh one estimated/committed pull runs through: the
-/// placement's registry as primary (slowed by its route load), plus the
-/// device's peer sources when peer sharing is on (one per advertising
-/// holder, each slowed by the load on *its* uplink) — exactly the mesh
-/// the executor assembles for the realised pull.
-///
-/// A free function over split borrows so `commit` can hold the mesh and a
-/// mutable cache at once.
-fn pull_mesh<'t>(
-    testbed: &'t Testbed,
-    route_load: &RouteLoads,
-    peers: Option<&'t [(RegistryId, PeerCacheSource)]>,
-    registry: RegistryChoice,
-    device: DeviceId,
-    standbys: bool,
-    windows: Option<(&FaultModel, Seconds)>,
-) -> RegistryMesh<'t> {
-    let load = |id: RegistryId| {
-        let contention = testbed.params.contention_factor(route_load.get(route_key(id, device)));
-        // Under scenario pricing, scripted degradation windows slow the
-        // affected sources exactly as the executor's clock-gated load
-        // factor does (×1.0 outside windows — bit-exact identity).
-        match windows {
-            Some((model, clock)) => contention * model.slowdown_at(id, clock),
-            None => contention,
-        }
-    };
-    let primary = registry.registry_id();
-    let mut mesh = RegistryMesh::new();
-    mesh.add_registry(
-        primary,
-        testbed.registry(registry),
-        testbed.source_params(registry, device, load(primary)),
-    );
-    for (id, peer) in peers.into_iter().flatten() {
-        mesh.add_blob_source(
-            *id,
-            peer,
-            testbed.source_params(RegistryChoice::mesh(*id), device, load(*id)),
-        );
-    }
-    // Fault pricing needs the failover targets in the mesh: every other
-    // full registry as a standby (planned only once the primary is dead,
-    // so the happy branch is untouched) — the same standby set a
-    // fault-injecting executor registers.
-    if standbys {
-        for choice in testbed.registry_choices() {
-            if choice == registry {
-                continue;
-            }
-            let id = choice.registry_id();
-            mesh.add_standby_registry(
-                id,
-                testbed.registry(choice),
-                testbed.source_params(choice, device, load(id)),
-            );
-        }
-    }
-    mesh
-}
-
-/// Charge each of a pull's `SourcePull` buckets to its own contention
-/// resource — the executor's accounting: registry buckets load their
-/// download route, peer buckets the serving device's uplink.
-fn charge_routes(
-    route_load: &mut RouteLoads,
-    testbed: &Testbed,
-    outcome: &deep_registry::PullOutcome,
-    device: DeviceId,
-) {
-    for bucket in &outcome.per_source {
-        if bucket.downloaded >= testbed.params.contention_threshold {
-            route_load.charge(route_key(bucket.source, device));
-        }
-    }
-}
-
 impl<'t> EstimationContext<'t> {
     /// Start a context mirroring the testbed's current cache state.
     pub fn new(testbed: &'t Testbed, app: &'t Application) -> Self {
@@ -357,15 +181,13 @@ impl<'t> EstimationContext<'t> {
             route_load: RouteLoads::new(testbed.devices.len()),
             assigned: vec![None; app.len()],
             peer_sharing: false,
-            peer_snapshots: Vec::new(),
-            gossip: None,
+            peers: PeerViews::default(),
             price_faults: false,
             scenario: None,
             clock: Seconds::ZERO,
             wave_peak: Seconds::ZERO,
             wave_exec: Seconds::ZERO,
             pulls_committed: 0,
-            initial_route_load: None,
             scoped: app
                 .ids()
                 .map(|id| format!("{}/{}", app.name(), app.microservice(id).name))
@@ -435,52 +257,25 @@ impl<'t> EstimationContext<'t> {
         self
     }
 
-    /// Carry `load` into the first wave's route contention instead of
-    /// starting clean (builder-style): an application joining a wave
-    /// whose routes other pulls already load sees that contention in
-    /// its first-wave estimates. Applied immediately *and* re-applied
-    /// by the first [`EstimationContext::begin_wave`] (so the usual
-    /// begin-wave/estimate/commit walk prices it); later barriers
-    /// clear route load as usual.
-    pub fn with_initial_route_load(mut self, load: HashMap<(RegistryId, usize), usize>) -> Self {
-        let sharded = RouteLoads::from_map(self.testbed.devices.len(), &load);
-        self.route_load = sharded.clone();
-        self.initial_route_load = Some(sharded);
-        self
-    }
-
     /// Price peer-cache split pulls (builder-style): mirror an executor
     /// running with [`deep_simulator::ExecutorConfig::peer_sharing`].
     pub fn peer_sharing(mut self, on: bool) -> Self {
         self.peer_sharing = on;
-        self.snapshot_peers();
+        self.refresh_peers();
         self
     }
 
-    /// Mirror the executor's peer-discovery mode (builder-style): under
-    /// [`deep_simulator::PeerDiscovery::Gossip`] the estimator runs its
-    /// own [`deep_simulator::GossipPlane`] over the estimated caches —
-    /// one barrier round per [`EstimationContext::begin_wave`], exactly
-    /// the executor's cadence — so bounded, lagging views price bounded,
-    /// lagging meshes. `seed` must be the executor's
-    /// [`deep_simulator::ExecutorConfig::seed`] for the partner
-    /// schedules (and therefore the view sequences) to match
-    /// bit for bit. [`deep_simulator::PeerDiscovery::Snapshot`] restores
-    /// the omniscient catalog (the default).
-    pub fn peer_discovery(mut self, discovery: deep_simulator::PeerDiscovery, seed: u64) -> Self {
-        self.gossip = match discovery {
-            deep_simulator::PeerDiscovery::Snapshot => None,
-            deep_simulator::PeerDiscovery::Gossip { fanout, view_size, rounds_per_wave } => {
-                Some(deep_simulator::GossipPlane::new(
-                    self.caches.len(),
-                    fanout,
-                    view_size,
-                    rounds_per_wave,
-                    seed,
-                ))
-            }
-        };
-        self.snapshot_peers();
+    /// Mirror the executor's peer-discovery mode (builder-style): the
+    /// estimator runs the same [`PeerViews`] the executor does, one
+    /// barrier per [`EstimationContext::begin_wave`] — so bounded,
+    /// lagging gossip views price bounded, lagging meshes. `seed` must
+    /// be the executor's [`deep_simulator::ExecutorConfig::seed`] for the
+    /// partner schedules (and therefore the view sequences) to match bit
+    /// for bit. [`PeerDiscovery::Snapshot`] is the omniscient catalog
+    /// (the default).
+    pub fn peer_discovery(mut self, discovery: PeerDiscovery, seed: u64) -> Self {
+        self.peers = PeerViews::new(discovery, self.caches.len(), seed);
+        self.refresh_peers();
         self
     }
 
@@ -492,8 +287,7 @@ impl<'t> EstimationContext<'t> {
     /// mesh (peer first, then standby registries — exactly the
     /// fault-injecting executor's failover), and `B` is the closed-form
     /// expected retry backoff of the transient channel. With a zero
-    /// fault model this is float-identical to happy-path pricing, so
-    /// fault-aware schedulers degrade gracefully to the PR 3 behaviour.
+    /// fault model this is float-identical to happy-path pricing.
     pub fn price_faults(mut self, on: bool) -> Self {
         self.price_faults = on;
         self
@@ -513,50 +307,30 @@ impl<'t> EstimationContext<'t> {
         self
     }
 
-    /// Rebuild the per-device peer snapshots from the estimated caches —
-    /// the estimator's image of the executor's wave-barrier gossip
-    /// round, through the same [`deep_simulator::PeerPlane::snapshot`]
-    /// rule the executor applies to the real caches.
-    fn snapshot_peers(&mut self) {
-        if !self.peer_sharing {
-            return;
+    /// Re-materialize every device's peer view from the estimated caches
+    /// without a discovery step (the builders' pre-barrier view).
+    fn refresh_peers(&mut self) {
+        if self.peer_sharing {
+            let caches: Vec<&LayerCache> = self.caches.iter().collect();
+            self.peers.refresh(&self.testbed.peer_plane, &caches, 0..caches.len());
         }
-        let caches: Vec<&LayerCache> = self.caches.iter().collect();
-        let count = caches.len();
-        self.peer_snapshots = match self.gossip.as_mut() {
-            // Gossip discovery: each device's mesh is its own (bounded,
-            // possibly lagging) view. Before the first barrier every
-            // view is empty — the executor has not advertised anything
-            // yet either. (`&mut` for the plane's materialized-view
-            // cache: a steady-state wave re-snapshots the whole fleet
-            // from cached views instead of rebuilding n of them.)
-            Some(plane) => (0..count).map(|j| plane.mesh_view(&caches, j)).collect(),
-            None => (0..count).map(|j| self.testbed.peer_plane.snapshot(&caches, j)).collect(),
-        };
     }
 
     /// Open a new deployment wave (stage barrier): route contention
-    /// resets, peers re-advertise their caches, and (under scenario
-    /// pricing) the clock advances past the previous wave — its longest
-    /// pull, then its serialized transfer and processing phases —
-    /// mirroring the jitter-free executor's barrier arithmetic.
+    /// resets, peers run the executor's discovery step over the
+    /// estimated caches, and (under scenario pricing) the clock advances
+    /// past the previous wave — its longest pull, then its serialized
+    /// transfer and processing phases — mirroring the jitter-free
+    /// executor's barrier arithmetic.
     pub fn begin_wave(&mut self) {
         self.clock += self.wave_peak + self.wave_exec;
         self.wave_peak = Seconds::ZERO;
         self.wave_exec = Seconds::ZERO;
-        match self.initial_route_load.take() {
-            Some(load) => self.route_load = load,
-            None => self.route_load.clear(),
-        }
-        // Gossip discovery advances exactly one barrier per wave — the
-        // executor's cadence — before the views are materialized.
+        self.route_load.clear();
         if self.peer_sharing {
-            if let Some(plane) = self.gossip.as_mut() {
-                let caches: Vec<&LayerCache> = self.caches.iter().collect();
-                plane.barrier_round(&caches);
-            }
+            let caches: Vec<&LayerCache> = self.caches.iter().collect();
+            self.peers.barrier(&self.testbed.peer_plane, &caches, 0..caches.len());
         }
-        self.snapshot_peers();
     }
 
     /// The committed placement of a microservice, if any.
@@ -570,6 +344,75 @@ impl<'t> EstimationContext<'t> {
         self.testbed.registry_choices()
     }
 
+    /// The scripted windows the estimator prices: the testbed's under
+    /// scenario pricing, none otherwise.
+    fn windows(&self) -> &'t [OutageWindow] {
+        match self.scenario {
+            Some(_) => self.testbed.fault_model.windows(),
+            None => &[],
+        }
+    }
+
+    /// The one estimator prelude behind [`EstimationContext::estimate`],
+    /// [`EstimationContext::plan`] and [`EstimationContext::commit`]:
+    /// resolve `id`'s reference on the placement's registry (through the
+    /// manifest memo when warm), assemble the pull's mesh through the
+    /// executor's own rule ([`Testbed::wave_mesh`]) under this wave's
+    /// route loads, the puller's peer view and the priced windows, and
+    /// hand `f` the mesh plus a session on it.
+    ///
+    /// Panics if the image is not published — a scheduler bug, not a
+    /// runtime condition.
+    fn with_pull<R>(
+        &self,
+        id: MicroserviceId,
+        placement: Placement,
+        standbys: bool,
+        f: impl FnOnce(&RegistryMesh<'_>, PullSession<'_, '_>, &Reference, Platform) -> R,
+    ) -> R {
+        let testbed = self.testbed;
+        let dev = testbed.device(placement.device);
+        let entry = self.entries[id.0].unwrap_or_else(|| {
+            let ms = &self.app.microservice(id).name;
+            testbed
+                .entry(self.app.name(), ms)
+                .unwrap_or_else(|| panic!("no image published for {}/{ms}", self.app.name()))
+        });
+        let built;
+        let (reference, preresolved) =
+            match self.manifests.get(&(placement.registry.registry_id(), id.0, dev.arch)) {
+                Some((r, m)) => (r, Some(m)),
+                None => {
+                    built = testbed.reference(entry, placement.registry, dev.arch);
+                    (&built, None)
+                }
+            };
+        let peers = if self.peer_sharing { self.peers.view(placement.device.0) } else { &[] };
+        let windows = self.windows();
+        let mesh = testbed.wave_mesh(
+            placement,
+            peers,
+            standbys,
+            |source| {
+                self.route_load.slowdown(
+                    &testbed.params,
+                    windows,
+                    self.clock,
+                    source,
+                    placement.device,
+                )
+            },
+            |choice| testbed.registry(choice),
+            |k| &peers[k].1,
+        );
+        let mut session =
+            PullSession::new(&mesh, placement.registry.registry_id()).extract_bw(dev.extract_bw);
+        if let Some(m) = preresolved {
+            session = session.preresolved(m);
+        }
+        f(&mesh, session, reference, dev.arch)
+    }
+
     /// Predict `(Td, Tc, Tp, EC)` for assigning `id` to
     /// `(registry, device)` given everything committed so far.
     ///
@@ -581,99 +424,25 @@ impl<'t> EstimationContext<'t> {
         registry: RegistryChoice,
         device: DeviceId,
     ) -> Estimate {
-        let ms = self.app.microservice(id);
-        let dev = self.testbed.device(device);
-        let entry = match self.entries[id.0] {
-            Some(e) => e,
-            None => self.testbed.entry(self.app.name(), &ms.name).unwrap_or_else(|| {
-                panic!("no image published for {}/{}", self.app.name(), ms.name)
-            }),
-        };
-        let built;
-        let (reference, preresolved) =
-            match self.manifests.get(&(registry.registry_id(), id.0, dev.arch)) {
-                Some((r, m)) => (r, Some(m)),
-                None => {
-                    built = self.testbed.reference(entry, registry, dev.arch);
-                    (&built, None)
-                }
-            };
+        let placement = Placement { registry, device };
+        let priced = self.price_faults || self.scenario.is_some();
         // The executor realises the same mesh under the same route loads,
         // so this estimate and its measurement agree bit for bit (under
         // fault pricing: in expectation over the injected fault plans).
-        let peers = self.peer_sharing.then(|| self.peer_snapshots[device.0].as_slice());
-        let faults: Option<&FaultModel> =
-            if self.price_faults { Some(&self.testbed.fault_model) } else { None };
-        let windows = self.scenario.map(|_| (&self.testbed.fault_model, self.clock));
-        let mesh = pull_mesh(
-            self.testbed,
-            &self.route_load,
-            peers,
-            registry,
-            device,
-            faults.is_some() || self.scenario.is_some(),
-            windows,
-        );
-        let primary = registry.registry_id();
-        let (outcome, td) = match self.scenario {
-            Some(pricing) => self.scenario_estimate(
-                pricing,
-                &mesh,
-                primary,
-                reference,
-                dev.extract_bw,
-                dev.arch,
-                &self.caches[device.0],
-            ),
-            None => {
-                let mut session = PullSession::new(&mesh, primary).extract_bw(dev.extract_bw);
-                if let Some(m) = preresolved {
-                    session = session.preresolved(m);
+        let (outcome, td) =
+            self.with_pull(id, placement, priced, |mesh, session, reference, arch| {
+                let cache = &self.caches[device.0];
+                if priced {
+                    self.expected_td(mesh, session, reference, arch, cache)
+                } else {
+                    let outcome =
+                        session.estimate(reference, arch, cache).expect("catalog images resolve");
+                    let td = outcome.deployment_time();
+                    (outcome, td)
                 }
-                let outcome = session
-                    .estimate(reference, dev.arch, &self.caches[device.0])
-                    .expect("catalog images resolve");
-                let td = match faults {
-                    None => outcome.deployment_time(),
-                    Some(model) => {
-                        let expected_happy =
-                            outcome.deployment_time() + model.expected_transient_backoff(&outcome);
-                        let p = model.rates(primary).fatal_per_pull;
-                        // The death branch only differs when the primary would
-                        // serve bytes: a fully-cached or fully-peer-served pull
-                        // never touches the primary's data plane, so its death
-                        // goes unnoticed and costs nothing.
-                        let primary_serves = outcome.per_source.iter().any(|b| b.source == primary);
-                        if p == 0.0 || !primary_serves {
-                            expected_happy
-                        } else {
-                            let mut session = PullSession::new(&mesh, primary)
-                                .extract_bw(dev.extract_bw)
-                                .presume_dead(primary);
-                            if let Some(m) = preresolved {
-                                session = session.preresolved(m);
-                            }
-                            let failover = session
-                                .estimate(reference, dev.arch, &self.caches[device.0])
-                                .expect("survivors cover the catalog");
-                            // The failover branch pays the surviving-source
-                            // re-fetch, its expected transient backoff AND the
-                            // death-detection cost: the exhausted retry budget
-                            // the session burns before declaring the primary
-                            // dead (`RetryPolicy::exhausted_backoff`).
-                            let expected_failover = failover.deployment_time()
-                                + model.expected_transient_backoff(&failover)
-                                + model.retry.exhausted_backoff();
-                            Seconds::new(
-                                (1.0 - p) * expected_happy.as_f64()
-                                    + p * expected_failover.as_f64(),
-                            )
-                        }
-                    }
-                };
-                (outcome, td)
-            }
-        };
+            });
+        let ms = self.app.microservice(id);
+        let dev = self.testbed.device(device);
         let mut tc = Seconds::ZERO;
         for flow in self.app.incoming(id) {
             let producer = self.assigned[flow.from.0]
@@ -691,58 +460,79 @@ impl<'t> EstimationContext<'t> {
         Estimate { td, tc, tp, ec, downloaded: outcome.downloaded }
     }
 
-    /// The scenario-priced `(happy outcome, E[Td])` of one candidate
-    /// pull (see [`ScenarioPricing`] for the branch semantics).
-    #[allow(clippy::too_many_arguments)]
-    fn scenario_estimate(
+    /// The fault-priced `(happy outcome, E[Td])` of one candidate pull —
+    /// the one expectation both pricing modes share:
+    ///
+    /// `E[Td] = (1−p)·(Td_happy + B_happy) + p·(Td_failover + B_failover + D)`
+    ///
+    /// where `B` is a branch's expected transient backoff, `D` the
+    /// exhausted retry budget burnt detecting the dead primary, and the
+    /// failover branch re-plans the pull with the primary presumed dead.
+    /// The modes differ only in `p` ([`EstimationContext::death_probability`])
+    /// and in the windows: sources scripted dark at the wave clock (none
+    /// outside scenario pricing) are gone from *both* branches, whatever
+    /// their mesh role — exactly what the executor's clock-gated fault
+    /// wrappers realise.
+    fn expected_td(
         &self,
-        pricing: ScenarioPricing,
         mesh: &RegistryMesh<'_>,
-        primary: RegistryId,
+        session: PullSession<'_, '_>,
         reference: &Reference,
-        extract_bw: Bandwidth,
         arch: Platform,
         cache: &LayerCache,
     ) -> (PullOutcome, Seconds) {
         let model = &self.testbed.fault_model;
-        // Sources scripted dark at the wave clock are gone for this
-        // pull whatever their mesh role — exactly what the executor's
-        // clock-gated wrappers (`PlannedFaults::at`) realise.
-        let dark: Vec<RegistryId> = mesh
-            .sources()
-            .map(|s| s.id())
-            .filter(|&id| id != primary && model.dark_at(id, self.clock))
-            .collect();
-        let branch = |primary_dead: bool| -> PullOutcome {
-            let mut session = PullSession::new(mesh, primary).extract_bw(extract_bw);
-            if primary_dead {
-                session = session.presume_dead(primary);
+        let primary = session.primary();
+        let windows = self.windows();
+        let mut session = session;
+        for source in mesh.sources() {
+            if source.id() != primary && OutageWindow::dark_in(windows, source.id(), self.clock) {
+                session = session.presume_dead(source.id());
             }
-            for &id in &dark {
-                session = session.presume_dead(id);
-            }
-            session.estimate(reference, arch, cache).expect("survivors cover the catalog")
-        };
-        let happy = branch(false);
+        }
+        let happy = session.estimate(reference, arch, cache).expect("catalog images resolve");
         let expected_happy = happy.deployment_time() + model.expected_transient_backoff(&happy);
-        // The death branch only differs when the primary would serve
-        // bytes: a fully-cached or fully-peer-served pull never touches
-        // the primary's data plane, so its death costs nothing.
-        let primary_serves = happy.per_source.iter().any(|b| b.source == primary);
-        let p = if !primary_serves {
-            0.0
-        } else if model.dark_at(primary, self.clock) {
+        let p = self.death_probability(&happy, primary);
+        let td = if p == 0.0 {
+            expected_happy
+        } else {
+            let failover = session
+                .presume_dead(primary)
+                .estimate(reference, arch, cache)
+                .expect("survivors cover the catalog");
+            let expected_failover = failover.deployment_time()
+                + model.expected_transient_backoff(&failover)
+                + model.retry.exhausted_backoff();
+            Seconds::new((1.0 - p) * expected_happy.as_f64() + p * expected_failover.as_f64())
+        };
+        (happy, td)
+    }
+
+    /// The probability that a priced pull's primary dies: the analytic
+    /// per-pull fatal rate under [`EstimationContext::price_faults`]; under
+    /// scenario pricing 1 inside a scripted dark window, else the
+    /// *empirical* death frequency of this pull number over the exact
+    /// fault plans the scenario's replications draw. Always 0 when the
+    /// primary would serve no bytes: a fully-cached or fully-peer-served
+    /// pull never touches the primary's data plane, so its death goes
+    /// unnoticed and costs nothing.
+    fn death_probability(&self, happy: &PullOutcome, primary: RegistryId) -> f64 {
+        if !happy.per_source.iter().any(|b| b.source == primary) {
+            return 0.0;
+        }
+        let model = &self.testbed.fault_model;
+        let rate = model.rates(primary).fatal_per_pull;
+        let Some(pricing) = self.scenario else { return rate };
+        if model.dark_at(primary, self.clock) {
             // Scripted, not sampled: every replication hits the window.
             1.0
-        } else if model.rates(primary).fatal_per_pull == 0.0 {
+        } else if rate == 0.0 {
             0.0
         } else {
-            // The *empirical* death frequency of this pull number over
-            // the exact fault plans the scenario's replications draw —
-            // simulation in the loop, not the analytic rate. Batched
-            // through [`FaultModel::fatal_draws`] (same keyed hash
-            // chain as a per-draw plan walk, bit-identical, minus
-            // `draws` clones of the rate tables) and memoized per
+            // Simulation in the loop, not the analytic rate. Batched
+            // through [`FaultModel::fatal_draws`] (same keyed hash chain
+            // as a per-draw plan walk, bit-identical, minus `draws`
+            // clones of the rate tables) and memoized per
             // `(pull, primary)`: every candidate device of one member
             // shares the count.
             let draws = pricing.draws.max(1);
@@ -753,17 +543,7 @@ impl<'t> EstimationContext<'t> {
                 })
             };
             f64::from(fatal) / f64::from(draws)
-        };
-        let td = if p == 0.0 {
-            expected_happy
-        } else {
-            let failover = branch(true);
-            let expected_failover = failover.deployment_time()
-                + model.expected_transient_backoff(&failover)
-                + model.retry.exhausted_backoff();
-            Seconds::new((1.0 - p) * expected_happy.as_f64() + p * expected_failover.as_f64())
-        };
-        (happy, td)
+        }
     }
 
     /// The happy-path pull *plan* of one candidate assignment: the
@@ -778,36 +558,12 @@ impl<'t> EstimationContext<'t> {
         id: MicroserviceId,
         registry: RegistryChoice,
         device: DeviceId,
-    ) -> deep_registry::PullOutcome {
-        let ms = self.app.microservice(id);
-        let dev = self.testbed.device(device);
-        let entry = match self.entries[id.0] {
-            Some(e) => e,
-            None => self.testbed.entry(self.app.name(), &ms.name).unwrap_or_else(|| {
-                panic!("no image published for {}/{}", self.app.name(), ms.name)
-            }),
-        };
-        let built;
-        let (reference, preresolved) =
-            match self.manifests.get(&(registry.registry_id(), id.0, dev.arch)) {
-                Some((r, m)) => (r, Some(m)),
-                None => {
-                    built = self.testbed.reference(entry, registry, dev.arch);
-                    (&built, None)
-                }
-            };
-        let peers = self.peer_sharing.then(|| self.peer_snapshots[device.0].as_slice());
-        let windows = self.scenario.map(|_| (&self.testbed.fault_model, self.clock));
-        let mesh =
-            pull_mesh(self.testbed, &self.route_load, peers, registry, device, false, windows);
-        let mut session =
-            PullSession::new(&mesh, registry.registry_id()).extract_bw(dev.extract_bw);
-        if let Some(m) = preresolved {
-            session = session.preresolved(m);
-        }
-        session
-            .estimate(reference, dev.arch, &self.caches[device.0])
-            .expect("catalog images resolve")
+    ) -> PullOutcome {
+        self.with_pull(id, Placement { registry, device }, false, |_, session, reference, arch| {
+            session
+                .estimate(reference, arch, &self.caches[device.0])
+                .expect("catalog images resolve")
+        })
     }
 
     /// Commit an assignment: realise the pull against the estimated cache
@@ -819,58 +575,18 @@ impl<'t> EstimationContext<'t> {
     /// only the contention carried into later same-wave estimates is the
     /// happy-path one.
     pub fn commit(&mut self, id: MicroserviceId, placement: Placement) {
-        let ms = self.app.microservice(id);
-        let dev = self.testbed.device(placement.device);
-        let pricing = self.scenario;
-        let clock = self.clock;
-        // Split borrows: the mesh reads the peer snapshots while the pull
-        // mutates the target device's estimated cache.
-        let EstimationContext {
-            testbed,
-            caches,
-            route_load,
-            peer_snapshots,
-            peer_sharing,
-            entries,
-            manifests,
-            ..
-        } = self;
-        let entry = match entries[id.0] {
-            Some(e) => e,
-            None => {
-                testbed.entry(self.app.name(), &ms.name).expect("estimate() validated the image")
-            }
-        };
-        let built;
-        let (reference, preresolved) =
-            match manifests.get(&(placement.registry.registry_id(), id.0, dev.arch)) {
-                Some((r, m)) => (r, Some(m)),
-                None => {
-                    built = testbed.reference(entry, placement.registry, dev.arch);
-                    (&built, None)
-                }
-            };
-        let peers = peer_sharing.then(|| peer_snapshots[placement.device.0].as_slice());
-        let windows = pricing.map(|_| (&testbed.fault_model, clock));
-        let mesh = pull_mesh(
-            testbed,
-            route_load,
-            peers,
-            placement.registry,
-            placement.device,
-            false,
-            windows,
-        );
-        let mut session =
-            PullSession::new(&mesh, placement.registry.registry_id()).extract_bw(dev.extract_bw);
-        if let Some(m) = preresolved {
-            session = session.preresolved(m);
-        }
-        let outcome = session
-            .pull(reference, dev.arch, &mut caches[placement.device.0])
+        // Take the puller's estimated cache out for the pull, exactly as
+        // the executor does, so the mesh can borrow the rest.
+        let slot = placement.device.0;
+        let mut cache = std::mem::replace(&mut self.caches[slot], LayerCache::new(DataSize::ZERO));
+        let outcome = self
+            .with_pull(id, placement, false, |_, session, reference, arch| {
+                session.pull(reference, arch, &mut cache)
+            })
             .expect("catalog images resolve");
-        charge_routes(route_load, testbed, &outcome, placement.device);
-        if pricing.is_some() {
+        self.caches[slot] = cache;
+        self.route_load.charge_pull(&self.testbed.params, &outcome, placement.device);
+        if self.scenario.is_some() {
             // Clock inputs for the next barrier: the wave spans its
             // longest pull, then the members' transfer and processing
             // phases run serially — the jitter-free executor's
@@ -886,8 +602,9 @@ impl<'t> EstimationContext<'t> {
                         .expect("testbed topology covers all devices");
                 }
             }
-            let scoped = &self.scoped[id.0];
-            exec += dev.processing_time(scoped, ms.requirements.cpu);
+            let dev = self.testbed.device(placement.device);
+            exec +=
+                dev.processing_time(&self.scoped[id.0], self.app.microservice(id).requirements.cpu);
             self.wave_exec += exec;
         }
         self.assigned[id.0] = Some(placement);
@@ -1176,30 +893,13 @@ mod tests {
         // Reconstruct both branches independently through the mesh API.
         let happy_ctx = EstimationContext::new(&tb, &app);
         let happy = happy_ctx.estimate(retrieve, RegistryChoice::Regional, DEVICE_MEDIUM);
-        let entry = tb.entry("text-processing", "retrieve").unwrap().clone();
-        let reference =
-            tb.reference(&entry, RegistryChoice::Regional, deep_registry::Platform::Amd64);
-        let mut mesh = tb.pull_mesh(RegistryChoice::Regional, DEVICE_MEDIUM, 1.0);
-        mesh.add_standby_registry(
-            RegistryChoice::Hub.registry_id(),
-            tb.registry(RegistryChoice::Hub),
-            tb.source_params(RegistryChoice::Hub, DEVICE_MEDIUM, 1.0),
-        );
-        let failover = PullSession::new(&mesh, RegistryChoice::Regional.registry_id())
-            .extract_bw(tb.device(DEVICE_MEDIUM).extract_bw)
-            .presume_dead(RegistryChoice::Regional.registry_id())
-            .estimate(
-                &reference,
-                deep_registry::Platform::Amd64,
-                &deep_registry::LayerCache::new(deep_netsim::DataSize::gigabytes(64.0)),
-            )
-            .unwrap();
+        let failover = retrieve_reconstruct(&tb, true);
         assert!(
             failover.per_source.iter().all(|b| b.source == RegistryChoice::Hub.registry_id()),
             "failover branch rides the standby hub"
         );
         let model = &tb.fault_model;
-        let b_happy = model.expected_transient_backoff(&happy_reconstruct(&tb, &reference));
+        let b_happy = model.expected_transient_backoff(&retrieve_reconstruct(&tb, false));
         let expected_happy = happy.td.as_f64() + b_happy.as_f64();
         let expected_failover = failover.deployment_time().as_f64()
             + model.expected_transient_backoff(&failover).as_f64()
@@ -1213,20 +913,26 @@ mod tests {
         assert!(priced.as_f64() > happy.td.as_f64() + 1.0);
     }
 
-    /// The happy-branch outcome of the reconstruction above (same pull,
-    /// no standbys, no faults) — for its per-source fetch counts.
-    fn happy_reconstruct(
-        tb: &deep_simulator::Testbed,
-        reference: &deep_registry::Reference,
-    ) -> deep_registry::PullOutcome {
-        tb.pull_mesh(RegistryChoice::Regional, DEVICE_MEDIUM, 1.0)
-            .session(RegistryChoice::Regional.registry_id())
-            .extract_bw(tb.device(DEVICE_MEDIUM).extract_bw)
-            .estimate(
-                reference,
-                deep_registry::Platform::Amd64,
-                &deep_registry::LayerCache::new(deep_netsim::DataSize::gigabytes(64.0)),
-            )
+    /// A cold regional-primary `retrieve` pull onto the medium device,
+    /// rebuilt through the mesh API: the happy branch, or (`failover`)
+    /// the branch with the regional presumed dead and the hub standing by.
+    fn retrieve_reconstruct(tb: &Testbed, failover: bool) -> PullOutcome {
+        let regional = RegistryChoice::Regional.registry_id();
+        let entry = tb.entry("text-processing", "retrieve").unwrap();
+        let reference = tb.reference(entry, RegistryChoice::Regional, Platform::Amd64);
+        let mut mesh = tb.pull_mesh(RegistryChoice::Regional, DEVICE_MEDIUM, 1.0);
+        mesh.add_standby_registry(
+            RegistryChoice::Hub.registry_id(),
+            tb.registry(RegistryChoice::Hub),
+            tb.source_params(RegistryChoice::Hub, DEVICE_MEDIUM, 1.0),
+        );
+        let mut session =
+            PullSession::new(&mesh, regional).extract_bw(tb.device(DEVICE_MEDIUM).extract_bw);
+        if failover {
+            session = session.presume_dead(regional);
+        }
+        session
+            .estimate(&reference, Platform::Amd64, &LayerCache::new(DataSize::gigabytes(64.0)))
             .unwrap()
     }
 
@@ -1279,24 +985,7 @@ mod tests {
         // The window is scripted, not sampled: p̂ = 1 and the estimate
         // IS the failover branch — hub re-fetch plus the exhausted
         // retry budget burnt declaring the regional dead.
-        let entry = tb.entry("text-processing", "retrieve").unwrap().clone();
-        let reference =
-            tb.reference(&entry, RegistryChoice::Regional, deep_registry::Platform::Amd64);
-        let mut mesh = tb.pull_mesh(RegistryChoice::Regional, DEVICE_MEDIUM, 1.0);
-        mesh.add_standby_registry(
-            RegistryChoice::Hub.registry_id(),
-            tb.registry(RegistryChoice::Hub),
-            tb.source_params(RegistryChoice::Hub, DEVICE_MEDIUM, 1.0),
-        );
-        let failover = PullSession::new(&mesh, regional)
-            .extract_bw(tb.device(DEVICE_MEDIUM).extract_bw)
-            .presume_dead(regional)
-            .estimate(
-                &reference,
-                deep_registry::Platform::Amd64,
-                &deep_registry::LayerCache::new(deep_netsim::DataSize::gigabytes(64.0)),
-            )
-            .unwrap();
+        let failover = retrieve_reconstruct(&tb, true);
         let expected =
             failover.deployment_time().as_f64() + tb.fault_model.retry.exhausted_backoff().as_f64();
         assert!(
@@ -1335,24 +1024,7 @@ mod tests {
         let happy = EstimationContext::new(&tb, &app)
             .estimate(retrieve, RegistryChoice::Regional, DEVICE_MEDIUM)
             .td;
-        let entry = tb.entry("text-processing", "retrieve").unwrap().clone();
-        let reference =
-            tb.reference(&entry, RegistryChoice::Regional, deep_registry::Platform::Amd64);
-        let mut mesh = tb.pull_mesh(RegistryChoice::Regional, DEVICE_MEDIUM, 1.0);
-        mesh.add_standby_registry(
-            RegistryChoice::Hub.registry_id(),
-            tb.registry(RegistryChoice::Hub),
-            tb.source_params(RegistryChoice::Hub, DEVICE_MEDIUM, 1.0),
-        );
-        let failover = PullSession::new(&mesh, regional)
-            .extract_bw(tb.device(DEVICE_MEDIUM).extract_bw)
-            .presume_dead(regional)
-            .estimate(
-                &reference,
-                deep_registry::Platform::Amd64,
-                &deep_registry::LayerCache::new(deep_netsim::DataSize::gigabytes(64.0)),
-            )
-            .unwrap();
+        let failover = retrieve_reconstruct(&tb, true);
         let expected = (1.0 - p_hat) * happy.as_f64()
             + p_hat
                 * (failover.deployment_time().as_f64()
@@ -1536,32 +1208,6 @@ mod tests {
             after_z.as_f64().to_bits(),
             "past the window the pricing is bit-identical to the zero model"
         );
-    }
-
-    #[test]
-    fn initial_route_load_survives_the_first_barrier_only() {
-        // An app admitted into an already-loaded wave prices the carried
-        // contention in its first wave; the next barrier clears it.
-        let tb = calibrated_testbed();
-        let app = apps::text_processing();
-        let retrieve = app.by_name("retrieve").unwrap();
-        let hub_route = route_key(RegistryChoice::Hub.registry_id(), DEVICE_MEDIUM);
-        let carried: HashMap<_, _> = [(hub_route, 2usize)].into_iter().collect();
-        let mut loaded = EstimationContext::new(&tb, &app).with_initial_route_load(carried);
-        let mut clean = EstimationContext::new(&tb, &app);
-        // Priced immediately (pre-barrier) AND after the first barrier.
-        let pre = loaded.estimate(retrieve, RegistryChoice::Hub, DEVICE_MEDIUM).td;
-        loaded.begin_wave();
-        clean.begin_wave();
-        let first = loaded.estimate(retrieve, RegistryChoice::Hub, DEVICE_MEDIUM).td;
-        let baseline = clean.estimate(retrieve, RegistryChoice::Hub, DEVICE_MEDIUM).td;
-        assert_eq!(pre, first, "the builder and the first barrier agree");
-        assert!(first > baseline, "carried load slows the loaded route: {first} vs {baseline}");
-        loaded.begin_wave();
-        clean.begin_wave();
-        let second = loaded.estimate(retrieve, RegistryChoice::Hub, DEVICE_MEDIUM).td;
-        let second_clean = clean.estimate(retrieve, RegistryChoice::Hub, DEVICE_MEDIUM).td;
-        assert_eq!(second, second_clean, "the second barrier clears the carried load");
     }
 
     #[test]

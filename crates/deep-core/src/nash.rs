@@ -44,20 +44,22 @@
 //! [`DEFAULT_SPARSE_THRESHOLD`]):
 //!
 //! * **Dense (paper-sized, below the threshold)** — stage games build
-//!   the full |R|×|D| bimatrix and run Nashpy-style support enumeration;
-//!   the congestion warm start runs dense best-response dynamics. This
-//!   is the seed path, preserved bit for bit.
+//!   the full |R|×|D| bimatrix and run Nashpy-style support enumeration.
+//!   This is the seed path, preserved bit for bit.
 //! * **Sparse (fleet-scale, at or above it)** — stage-game payoffs fan
 //!   out across devices on the rayon pool into a reused flat buffer
 //!   (estimates are `&self`, so one context serves every worker), and
 //!   the equilibrium cell is selected by a single scan replicating the
 //!   dense tie-breaks (support enumeration lists pure equilibria
 //!   row-major and `max_by` keeps the *last* maximum, so the scan keeps
-//!   the last minimal-energy cell registry-major). The warm start runs
-//!   [`CongestionGame::sparse_descent`] — incremental ΔΦ over
-//!   per-resource load counters, trajectory-identical to the dense
-//!   dynamics (proven in `deep-game`'s parity tests) but touching only
-//!   the deviator's resource subset per candidate.
+//!   the last minimal-energy cell registry-major).
+//!
+//! Both paths run the congestion warm start and the incremental repair
+//! on one descent engine, [`CongestionGame::sparse_descent`]: incremental
+//! ΔΦ over per-resource load counters, trajectory-identical to dense
+//! best-response dynamics (proven in `deep-game`'s parity tests, where
+//! `best_response_dynamics` stays as the reference) but touching only
+//! the deviator's resource subset per candidate.
 //!
 //! Refinement, exact cost and both equilibrium checks are one walker
 //! (`DeepScheduler::walk`); stage games certify their pick (sparse: by
@@ -538,7 +540,7 @@ impl DeepScheduler {
     }
 
     /// Potential-guided warm start: drive each wave's explicit
-    /// congestion game to a pure equilibrium by best-response dynamics
+    /// congestion game to a pure equilibrium by potential descent
     /// (every accepted move decreases Rosenthal's exact potential by the
     /// deviator's improvement, so the descent terminates without any
     /// full-profile cost replay), then keep the jump only if the exact
@@ -567,15 +569,10 @@ impl DeepScheduler {
                     .enumerate()
                     .map(|(p, &id)| wave.strategy_index(p, out[id.0]))
                     .collect();
-                // Trajectory-identical engines (deep-game parity tests);
-                // the sparse one touches only the deviator's resource
-                // subset per candidate, which is what makes fleet-sized
-                // strategy spaces affordable.
-                let result = if fleet {
-                    game.sparse_descent(start, self.max_refine_passes, &mut ws.descent)
-                } else {
-                    game.best_response_dynamics(start, self.max_refine_passes)
-                };
+                // Trajectory-identical to dense best-response dynamics
+                // (deep-game parity tests), but touching only the
+                // deviator's resource subset per candidate.
+                let result = game.sparse_descent(start, self.max_refine_passes, &mut ws.descent);
                 for (p, &id) in wave.members.iter().enumerate() {
                     out[id.0] = wave.strategies[p][result.profile[p]];
                 }
@@ -651,6 +648,7 @@ impl DeepScheduler {
         }
         let mut out = profile.clone();
         let mut deviations = 0usize;
+        let mut descent = DescentWorkspace::default();
         let mut ctx = self.context(testbed, app);
         for stage in stages(app) {
             ctx.begin_wave();
@@ -666,7 +664,9 @@ impl DeepScheduler {
                     .collect();
                 let mut converged = false;
                 for _ in 0..self.max_refine_passes {
-                    let step = game.best_response_dynamics(current.clone(), 1);
+                    // A one-pass descent marks every player dirty, so it
+                    // is exactly one dense best-response pass.
+                    let step = game.sparse_descent(current.clone(), 1, &mut descent);
                     // One pass revises each player at most once, and a
                     // revision always changes the strategy, so the
                     // hamming distance counts the pass's moves exactly.

@@ -139,6 +139,26 @@ impl OutageWindow {
     pub fn is_dark(&self) -> bool {
         self.factor == 0.0
     }
+
+    /// Is `source` inside a dark window of `windows` at clock time `at`?
+    /// The one dark-window rule: [`FaultModel::dark_at`] (what schedulers
+    /// price) and [`FaultPlan::dark_at`] (what an executor injects) both
+    /// read it.
+    pub fn dark_in(windows: &[OutageWindow], source: RegistryId, at: Seconds) -> bool {
+        windows.iter().any(|w| w.source == source && w.is_dark() && w.active_at(at))
+    }
+
+    /// Bandwidth slowdown multiplier for `source` at clock time `at`:
+    /// the product of `1 / factor` over the active degradation windows of
+    /// `windows` (`1.0` outside every window, and over an empty slice).
+    /// Multiplies into the route's contention slowdown, which divides the
+    /// route bandwidth.
+    pub fn slowdown_in(windows: &[OutageWindow], source: RegistryId, at: Seconds) -> f64 {
+        windows
+            .iter()
+            .filter(|w| w.source == source && !w.is_dark() && w.active_at(at))
+            .fold(1.0, |acc, w| acc / w.factor)
+    }
 }
 
 /// The per-source fault model of a testbed: which sources are flaky, how
@@ -219,18 +239,13 @@ impl FaultModel {
 
     /// Is `source` inside a dark window at clock time `at`?
     pub fn dark_at(&self, source: RegistryId, at: Seconds) -> bool {
-        self.windows.iter().any(|w| w.source == source && w.is_dark() && w.active_at(at))
+        OutageWindow::dark_in(&self.windows, source, at)
     }
 
-    /// Bandwidth slowdown multiplier for `source` at clock time `at`:
-    /// the product of `1 / factor` over active degradation windows
-    /// (`1.0` outside every window). Multiplies into the executor's
-    /// contention slowdown, which divides the route bandwidth.
+    /// Bandwidth slowdown multiplier for `source` at clock time `at`
+    /// (see [`OutageWindow::slowdown_in`]).
     pub fn slowdown_at(&self, source: RegistryId, at: Seconds) -> f64 {
-        self.windows
-            .iter()
-            .filter(|w| w.source == source && !w.is_dark() && w.active_at(at))
-            .fold(1.0, |acc, w| acc / w.factor)
+        OutageWindow::slowdown_in(&self.windows, source, at)
     }
 
     /// True when no source has any failure probability and no window is
@@ -338,18 +353,20 @@ impl FaultPlan {
         self.seed
     }
 
+    /// The scripted windows, snapshotted from the model at sampling time.
+    pub fn windows(&self) -> &[OutageWindow] {
+        &self.windows
+    }
+
     /// Is `source` inside a dark window at clock time `at`?
     pub fn dark_at(&self, source: RegistryId, at: Seconds) -> bool {
-        self.windows.iter().any(|w| w.source == source && w.is_dark() && w.active_at(at))
+        OutageWindow::dark_in(&self.windows, source, at)
     }
 
     /// Bandwidth slowdown multiplier for `source` at clock time `at`
-    /// (see [`FaultModel::slowdown_at`]).
+    /// (see [`OutageWindow::slowdown_in`]).
     pub fn slowdown_at(&self, source: RegistryId, at: Seconds) -> f64 {
-        self.windows
-            .iter()
-            .filter(|w| w.source == source && !w.is_dark() && w.active_at(at))
-            .fold(1.0, |acc, w| acc / w.factor)
+        OutageWindow::slowdown_in(&self.windows, source, at)
     }
 
     /// Max consecutive transient injections a retry chain can see.

@@ -156,17 +156,6 @@ impl<'a> RegistryMesh<'a> {
         })
     }
 
-    /// Register a blob-only failover standby (see
-    /// [`RegistryMesh::add_standby_registry`]).
-    pub fn add_standby_blobs(
-        &mut self,
-        id: RegistryId,
-        blobs: &'a dyn BlobSource,
-        params: SourceParams,
-    ) -> RegistryId {
-        self.insert(MeshSource { id, manifests: None, blobs, params, standby: true })
-    }
-
     fn insert(&mut self, source: MeshSource<'a>) -> RegistryId {
         assert!(self.source(source.id).is_none(), "mesh source {} registered twice", source.id);
         let id = source.id;

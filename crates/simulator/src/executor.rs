@@ -17,23 +17,28 @@
 
 use crate::chaos::{ChaosEvent, ChaosKind};
 use crate::engine::Engine;
+use crate::gossip::PeerViews;
 use crate::jitter::Jitter;
 use crate::metrics::{MicroserviceMetrics, RunReport};
-use crate::schedule::{RegistryChoice, Schedule};
-use crate::testbed::{peer_holder, route_key, Testbed};
+use crate::schedule::{Placement, Schedule};
+use crate::testbed::{RouteLoads, Testbed};
 use crate::trace::{Trace, TraceKind};
 use deep_dataflow::{stages, Application, MicroserviceId};
 use deep_energy::{Joules, PowerMeter, RaplBank, RaplMeasurement, Watts};
-use deep_netsim::{DeviceId, RegistryId, Seconds};
+use deep_netsim::{DataSize, DeviceId, RegistryId, Seconds};
 use deep_registry::{
-    FaultPlan, PeerCacheSource, PlannedFaults, Platform, PullSession, Registry, RegistryMesh,
-    SourceParams,
+    BlobSource, FaultPlan, LayerCache, PlannedFaults, Platform, PullOutcome, PullSession, Registry,
 };
 use std::collections::HashMap;
 use std::fmt;
 
 /// How pulls discover which fleet peers hold which layers (only
 /// consulted when [`ExecutorConfig::peer_sharing`] is on).
+///
+/// [`crate::PeerViews::new`] is the one place a mode becomes a discovery
+/// plane, and [`crate::PeerViews::barrier`] the one wave-barrier step;
+/// the executor and the scheduler's estimator both run them, so a mode
+/// prices exactly what it realises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PeerDiscovery {
     /// The omniscient catalog: every wave barrier snapshots every
@@ -382,14 +387,14 @@ impl JobRun {
 /// [`execute_with_events`] so the arrival plane (the `deep-arrival`
 /// crate) can interleave *multiple* jobs on one continuous timeline:
 /// jitter stream, monitoring trace, energy instruments, the wave clock,
-/// the execution-order pull counter the fault plan indexes, and the
-/// scripted chaos timeline all survive across [`OnlineExecutor::run_wave`]
-/// calls. The fault plan is sampled **once** at session start, so
-/// mutating `testbed.fault_model` between waves (e.g. feeding inferred
-/// outage windows back to the scheduler) never changes what the session
-/// injects. Driving one job's waves straight through reproduces
-/// [`execute_with_events`] byte for byte — the static-parity contract
-/// the arrival plane's regression tests pin.
+/// the execution-order pull counter the fault plan indexes, the peer
+/// discovery plane and the scripted chaos timeline all survive across
+/// [`OnlineExecutor::run_wave`] calls. The fault plan is sampled **once**
+/// at session start, so mutating `testbed.fault_model` between waves
+/// (e.g. feeding inferred outage windows back to the scheduler) never
+/// changes what the session injects. Driving one job's waves straight
+/// through reproduces [`execute_with_events`] byte for byte — the
+/// static-parity contract the arrival plane's regression tests pin.
 pub struct OnlineExecutor {
     cfg: ExecutorConfig,
     jitter: Jitter,
@@ -400,79 +405,14 @@ pub struct OnlineExecutor {
     fault_plan: Option<FaultPlan>,
     timeline: Vec<ChaosEvent>,
     next_event: usize,
-    /// The epidemic discovery plane, present iff `cfg.peer_sharing` with
-    /// [`PeerDiscovery::Gossip`]. Session-scoped, like the fault plan:
-    /// views persist across waves (and across jobs in an online
-    /// session), so discovery lag carries over exactly as it would in a
-    /// long-lived fleet.
-    gossip: Option<crate::gossip::GossipPlane>,
-}
-
-/// Fire every scripted event due at or before `clock` against the
-/// split-borrowed testbed state. `peer_snapshots` holds the in-flight
-/// wave's gossip snapshots (an eviction retracts the holder's own stale
-/// advertisements); callers firing between waves pass an empty map.
-#[allow(clippy::too_many_arguments)]
-fn fire_scripted_events(
-    timeline: &[ChaosEvent],
-    next_event: &mut usize,
-    clock: Seconds,
-    devices: &mut [crate::device::SimDevice],
-    regional: &mut deep_registry::RegionalRegistry,
-    peer_snapshots: &mut HashMap<usize, Vec<(RegistryId, PeerCacheSource)>>,
-    mut gossip: Option<&mut crate::gossip::GossipPlane>,
-    trace: &mut Trace,
-) -> Result<(), ExecError> {
-    while *next_event < timeline.len() && timeline[*next_event].at.as_f64() <= clock.as_f64() {
-        let event = &timeline[*next_event];
-        *next_event += 1;
-        let label = match &event.kind {
-            ChaosKind::CachePressure { device, keep } => {
-                let evicted = devices[device.0].cache.evict_to(*keep);
-                // The holder's own source in every in-flight snapshot:
-                // the evicted layers are gone.
-                for sources in peer_snapshots.values_mut() {
-                    for (id, src) in sources.iter_mut() {
-                        if peer_holder(*id) == Some(*device) {
-                            for victim in &evicted {
-                                src.retract(victim);
-                            }
-                        }
-                    }
-                }
-                // Gossip discovery: the holder re-advertises its shrunk
-                // cache *now* (epoch bump), so the stale advertisement
-                // ages out of remote views as later rounds spread the
-                // fresh epoch. The in-flight snapshots above stay stale
-                // on purpose — those pulls pay a failover, never a wrong
-                // estimate.
-                if !evicted.is_empty() {
-                    if let Some(plane) = gossip.as_mut() {
-                        plane.readvertise(*device, &devices[device.0].cache);
-                    }
-                }
-                format!(
-                    "cache-pressure d{} evicted {} layer(s) (scripted t={})",
-                    device.0,
-                    evicted.len(),
-                    event.at
-                )
-            }
-            ChaosKind::DeleteTag { repository, tag } => {
-                regional.delete_manifest(repository, tag)?;
-                format!("delete-tag {repository}:{tag} (scripted t={})", event.at)
-            }
-            ChaosKind::RegistryGc => {
-                let report = deep_registry::gc_collect(regional)?;
-                format!(
-                    "registry-gc marked {} swept {} released {} B (scripted t={})",
-                    report.marked, report.swept, report.declared_bytes_released, event.at
-                )
-            }
-        };
-        trace.record(clock, TraceKind::ChaosEventFired, event.device(), &label);
-    }
-    Ok(())
+    /// Peer discovery, present iff `cfg.peer_sharing`. Session-scoped,
+    /// like the fault plan: gossip views persist across waves (and
+    /// across jobs in an online session), so discovery lag carries over
+    /// exactly as it would in a long-lived fleet.
+    peers: Option<PeerViews>,
+    /// Same-wave route contention, cleared at every wave barrier (the
+    /// lanes survive, so fleet-sized waves allocate no fresh ledger).
+    route_load: RouteLoads,
 }
 
 impl OnlineExecutor {
@@ -484,18 +424,7 @@ impl OnlineExecutor {
             if cfg.fault_injection { Some(testbed.fault_model.plan(cfg.fault_seed)) } else { None };
         let mut timeline: Vec<ChaosEvent> = events.to_vec();
         timeline.sort_by(|a, b| a.at.as_f64().total_cmp(&b.at.as_f64()));
-        let gossip = match (cfg.peer_sharing, cfg.peer_discovery) {
-            (true, PeerDiscovery::Gossip { fanout, view_size, rounds_per_wave }) => {
-                Some(crate::gossip::GossipPlane::new(
-                    testbed.devices.len(),
-                    fanout,
-                    view_size,
-                    rounds_per_wave,
-                    cfg.seed,
-                ))
-            }
-            _ => None,
-        };
+        let devices = testbed.devices.len();
         OnlineExecutor {
             cfg: *cfg,
             jitter: Jitter::new(cfg.seed, cfg.jitter),
@@ -506,7 +435,8 @@ impl OnlineExecutor {
             fault_plan,
             timeline,
             next_event: 0,
-            gossip,
+            peers: cfg.peer_sharing.then(|| PeerViews::new(cfg.peer_discovery, devices, cfg.seed)),
+            route_load: RouteLoads::new(devices),
         }
     }
 
@@ -532,25 +462,47 @@ impl OnlineExecutor {
     }
 
     /// Fire every scripted chaos event due at or before the current
-    /// clock, outside any wave — an explicit barrier. The arrival plane
-    /// calls this after an idle fast-forward so gap chaos (cache
+    /// clock. Called at each wave barrier *after* the discovery step, so
+    /// an eviction leaves the wave's peer views advertising layers the
+    /// holder no longer has — the stale-advertisement incident sessions
+    /// must fail over from mid-pull. The arrival plane also calls this
+    /// outside any wave, after an idle fast-forward, so gap chaos (cache
     /// evictions, tag deletes, GC) is visible to the next admission's
     /// scheduling pass instead of landing one wave barrier late.
-    /// Within-wave semantics (gossip-then-fire, stale peer
-    /// advertisements) are unchanged: with no wave in flight there are
-    /// no snapshots to go stale.
     pub fn fire_due_events(&mut self, testbed: &mut Testbed) -> Result<(), ExecError> {
-        let mut no_snapshots = HashMap::new();
-        fire_scripted_events(
-            &self.timeline,
-            &mut self.next_event,
-            self.clock,
-            &mut testbed.devices,
-            &mut testbed.regional,
-            &mut no_snapshots,
-            self.gossip.as_mut(),
-            &mut self.trace,
-        )
+        while let Some(event) =
+            self.timeline.get(self.next_event).filter(|e| e.at.as_f64() <= self.clock.as_f64())
+        {
+            self.next_event += 1;
+            let label = match &event.kind {
+                ChaosKind::CachePressure { device, keep } => {
+                    let cache = &mut testbed.devices[device.0].cache;
+                    let evicted = cache.evict_to(*keep);
+                    if let Some(peers) = self.peers.as_mut() {
+                        peers.evicted(*device, &evicted, cache);
+                    }
+                    format!(
+                        "cache-pressure d{} evicted {} layer(s) (scripted t={})",
+                        device.0,
+                        evicted.len(),
+                        event.at
+                    )
+                }
+                ChaosKind::DeleteTag { repository, tag } => {
+                    testbed.regional.delete_manifest(repository, tag)?;
+                    format!("delete-tag {repository}:{tag} (scripted t={})", event.at)
+                }
+                ChaosKind::RegistryGc => {
+                    let report = deep_registry::gc_collect(&mut testbed.regional)?;
+                    format!(
+                        "registry-gc marked {} swept {} released {} B (scripted t={})",
+                        report.marked, report.swept, report.declared_bytes_released, event.at
+                    )
+                }
+            };
+            self.trace.record(self.clock, TraceKind::ChaosEventFired, event.device(), &label);
+        }
+        Ok(())
     }
 
     /// Start a measurement accumulator for a job admitted *now*.
@@ -577,254 +529,41 @@ impl OnlineExecutor {
         wave_idx: usize,
         run: &mut JobRun,
     ) -> Result<(), ExecError> {
-        // The standby strategy space, taken before the split borrows
-        // below (owned Copy handles): the executor must register exactly
-        // the sources the scheduler enumerates, or fault-pricing parity
-        // breaks.
-        let registry_choices: Vec<RegistryChoice> = testbed.registry_choices();
-
-        // Split borrows on both structs: devices and the regional
-        // registry mutably (caches; chaos events delete tags and
-        // garbage-collect), the session's sampled plan immutably while
-        // its clock, trace, and counters advance.
-        let OnlineExecutor {
-            ref cfg,
-            ref mut jitter,
-            ref mut trace,
-            ref mut instruments,
-            ref mut clock,
-            ref mut pull_counter,
-            ref fault_plan,
-            ref timeline,
-            ref mut next_event,
-            ref mut gossip,
-        } = *self;
-        let Testbed {
-            ref mut devices,
-            ref hub,
-            ref mut regional,
-            ref mirrors,
-            ref params,
-            ref peer_plane,
-            ref fault_model,
-            ref entries,
-            ref topology,
-        } = *testbed;
-
-        // Route parameters for any mesh source (paper registries, peer
-        // sources, mirrors) — `Testbed::source_params` over the split
-        // borrows.
-        let source_params = |choice: RegistryChoice,
-                             device: DeviceId,
-                             slowdown: f64|
-         -> SourceParams {
-            crate::testbed::source_params_for(mirrors, peer_plane, params, choice, device, slowdown)
-        };
-
-        // ---- Deployment wave: concurrent contended pulls. --------------
-        // Same-wave contention is charged per *contention resource*
-        // (`route_key`): a split pull loads every route its bytes
-        // actually traverse — registry routes per (source, pulling
-        // device), peer traffic on the serving device's uplink.
-        let mut route_load: HashMap<(RegistryId, usize), usize> = HashMap::new();
-        // Peer-cache snapshots, one per target device, taken at the wave
-        // barrier: peers advertise what they held when the wave began (a
-        // gossip round per barrier), decoupling the snapshot from the
-        // mutable per-pull cache borrows below. Each advertising holder
-        // is its own source.
-        // Snapshots are built only for devices this wave actually deploys
-        // to — a fleet wave touching a handful of devices must not pay
+        // ---- Wave barrier: route loads reset, peers advertise. ---------
+        // Peer views are built only for devices this wave deploys to — a
+        // fleet wave touching a handful of devices must not pay
         // O(devices²) digest clones.
-        let mut peer_snapshots: HashMap<usize, Vec<(RegistryId, PeerCacheSource)>> = if cfg
-            .peer_sharing
-        {
+        self.route_load.clear();
+        if let Some(peers) = self.peers.as_mut() {
             let mut targets: Vec<usize> =
                 wave.iter().map(|&id| schedule.placement(id).device.0).collect();
             targets.sort_unstable();
             targets.dedup();
-            let caches: Vec<&deep_registry::LayerCache> =
-                devices.iter().map(|d| &d.cache).collect();
-            match gossip.as_mut() {
-                // Gossip discovery: advertise-and-spread at the
-                // barrier, then assemble each target's mesh from its
-                // own (bounded, possibly lagging) view.
-                Some(plane) => {
-                    plane.barrier_round(&caches);
-                    targets.into_iter().map(|j| (j, plane.mesh_view(&caches, j))).collect()
-                }
-                // Omniscient snapshot catalog.
-                None => targets.into_iter().map(|j| (j, peer_plane.snapshot(&caches, j))).collect(),
-            }
-        } else {
-            HashMap::new()
-        };
+            let caches: Vec<&LayerCache> = testbed.devices.iter().map(|d| &d.cache).collect();
+            peers.barrier(&testbed.peer_plane, &caches, targets);
+        }
         // ---- Scripted chaos: fire every event whose time has come. -----
-        // Events fire *after* the gossip round above, so an eviction
-        // leaves the wave's snapshots advertising layers the holder no
-        // longer has — the stale-advertisement incident sessions must
-        // fail over from mid-pull.
-        fire_scripted_events(
-            timeline,
-            next_event,
-            *clock,
-            devices,
-            regional,
-            &mut peer_snapshots,
-            gossip.as_mut(),
-            trace,
-        )?;
-        // Full-registry backend for a strategy handle. Reborrows the
-        // regional registry immutably for the rest of the wave (chaos
-        // events above hold the mutable borrow).
-        let regional: &deep_registry::RegionalRegistry = regional;
-        let backend = |choice: RegistryChoice| -> &dyn Registry {
-            match choice.registry_id().0 {
-                0 => hub,
-                1 => regional,
-                n => mirrors
-                    .iter()
-                    .find(|m| m.choice == choice)
-                    .map(|m| &m.registry as &dyn Registry)
-                    .unwrap_or_else(|| {
-                        panic!("schedule names mesh id r{n}, testbed has no such registry")
-                    }),
-            }
-        };
+        self.fire_due_events(testbed)?;
+
+        // ---- Deployment wave: concurrent contended pulls. --------------
         // Completion events for the wave, popped in time order from a
         // heap preallocated to the wave width (no realloc churn when a
         // fleet deploys hundreds of microservices per wave).
         let mut completions: Engine<MicroserviceId> = Engine::with_capacity(wave.len());
         for &id in wave {
-            let ms = app.microservice(id);
             let placement = schedule.placement(id);
-            let entry =
-                entries.get(&(app.name().to_string(), ms.name.clone())).ok_or_else(|| {
-                    ExecError::UnknownImage {
-                        application: app.name().to_string(),
-                        microservice: ms.name.clone(),
-                    }
-                })?;
-            let device = &mut devices[placement.device.0];
-            let primary = placement.registry.registry_id();
-            let registry: &dyn Registry = backend(placement.registry);
-            let reference = match primary.0 {
-                0 => entry.hub_reference(device.arch),
-                _ => entry.regional_reference(device.arch),
-            };
-            // Each mesh source's contention resource is slowed by the
-            // load *it* carries from earlier same-wave pulls: the
-            // download route for registries, the serving device's uplink
-            // for peer sources.
-            // ...and, under a scripted degradation window, by the
-            // window's residual-capacity factor (×1.0 outside windows —
-            // bit-exact identity).
-            let load = |id: RegistryId| {
-                let contention = params.contention_factor(
-                    *route_load.get(&route_key(id, placement.device)).unwrap_or(&0),
-                );
-                match fault_plan {
-                    Some(plan) => contention * plan.slowdown_at(id, *clock),
-                    None => contention,
-                }
-            };
-            let pull_idx = *pull_counter;
-            *pull_counter += 1;
-            // Fault wrappers, declared before the mesh that borrows them:
-            // the primary draws its per-pull death from the plan, every
-            // other full registry rides along as a transient-only
-            // survivor (the failover targets the model assumes alive),
-            // and the wave's peer snapshot is wrapped the same way.
-            let primary_faults: Option<PlannedFaults<'_, &dyn Registry>> = fault_plan
-                .as_ref()
-                .map(|plan| PlannedFaults::primary(registry, plan, primary, pull_idx).at(*clock));
-            let standby_faults: Vec<(RegistryChoice, PlannedFaults<'_, &dyn Registry>)> =
-                match fault_plan {
-                    Some(plan) => registry_choices
-                        .iter()
-                        .filter(|&&c| c != placement.registry)
-                        .map(|&c| {
-                            // Clock-gated too: a scripted incident takes
-                            // standby targets down as well.
-                            let wrapped = PlannedFaults::survivor(
-                                backend(c),
-                                plan,
-                                c.registry_id(),
-                                pull_idx,
-                            )
-                            .at(*clock);
-                            (c, wrapped)
-                        })
-                        .collect(),
-                    None => Vec::new(),
-                };
-            let peer_entries: &[(RegistryId, PeerCacheSource)] =
-                if cfg.peer_sharing { &peer_snapshots[&placement.device.0] } else { &[] };
-            // Per-peer fault wrappers: each holder draws its own per-pull
-            // fatal churn (a dead holder fails over alone — the rest of
-            // the peer plane and the registries keep serving) and its own
-            // transient stream. Peer-uplink kills are scripted as dark
-            // windows on the peer's mesh id.
-            let peer_faults: Vec<(RegistryId, PlannedFaults<'_, &PeerCacheSource>)> =
-                match fault_plan {
-                    Some(plan) => peer_entries
-                        .iter()
-                        .map(|(id, src)| {
-                            (*id, PlannedFaults::holder(src, plan, *id, pull_idx).at(*clock))
-                        })
-                        .collect(),
-                    None => Vec::new(),
-                };
-            // The pull's mesh: the placement's registry as primary, the
-            // peer sources when fleet sharing is on, plus (under fault
-            // injection) every other full registry as a standby failover
-            // target — planned only once the primary is dead, so the
-            // fault-free mesh stays byte-identical.
-            let mut mesh = RegistryMesh::new();
-            let primary_params = source_params(placement.registry, placement.device, load(primary));
-            match &primary_faults {
-                Some(wrapped) => mesh.add_registry(primary, wrapped, primary_params),
-                None => mesh.add_registry(primary, registry, primary_params),
-            };
-            if fault_plan.is_some() {
-                for (id, wrapped) in &peer_faults {
-                    let peer_params =
-                        source_params(RegistryChoice::mesh(*id), placement.device, load(*id));
-                    mesh.add_blob_source(*id, wrapped, peer_params);
-                }
-            } else {
-                for (id, src) in peer_entries {
-                    let peer_params =
-                        source_params(RegistryChoice::mesh(*id), placement.device, load(*id));
-                    mesh.add_blob_source(*id, src, peer_params);
-                }
-            }
-            for (choice, wrapped) in &standby_faults {
-                let id = choice.registry_id();
-                mesh.add_standby_blobs(
-                    id,
-                    wrapped,
-                    source_params(*choice, placement.device, load(id)),
-                );
-            }
-            let mut session = PullSession::new(&mesh, primary).extract_bw(device.extract_bw);
-            if fault_plan.is_some() {
-                // Injected transients are retried under the model's
-                // policy; with no injections attached retries change
-                // nothing (first attempts succeed, zero backoff).
-                session = session.with_retry(fault_model.retry);
-            }
-            trace.record(*clock, TraceKind::DeploymentStarted, placement.device, &ms.name);
-            let outcome = session.pull(&reference, device.arch, &mut device.cache)?;
+            // Only the puller's cache is mutated during a pull: take it
+            // out for the pull so the mesh can borrow the rest of the
+            // testbed, and put it back whatever the pull's result.
+            let slot = &mut testbed.devices[placement.device.0].cache;
+            let mut cache = std::mem::replace(slot, LayerCache::new(DataSize::ZERO));
+            let pulled = self.pull(testbed, app, id, placement, &mut cache);
+            testbed.devices[placement.device.0].cache = cache;
+            let outcome = pulled?;
             // Charge each contention resource the bytes it actually
-            // served: a split pull no longer over-penalizes its primary
-            // route, and peer buckets land on the serving device's
-            // uplink rather than the puller's download route.
-            for bucket in &outcome.per_source {
-                if bucket.downloaded >= params.contention_threshold {
-                    *route_load.entry(route_key(bucket.source, placement.device)).or_insert(0) += 1;
-                }
-            }
-            let t = jitter.apply(outcome.deployment_time());
+            // served: a split pull loads every route its bytes traverse.
+            self.route_load.charge_pull(&testbed.params, &outcome, placement.device);
+            let t = self.jitter.apply(outcome.deployment_time());
             run.td[id.0] = t;
             run.downloaded_mb[id.0] = outcome.downloaded.as_megabytes();
             run.sources[id.0] = outcome.per_source;
@@ -832,56 +571,63 @@ impl OnlineExecutor {
             run.backoff[id.0] = outcome.backoff_total;
             completions.schedule_at(t, id);
             // Instrument the deployment phase (deploy + static draw).
-            if cfg.instruments {
+            if self.cfg.instruments {
+                let device = testbed.device(placement.device);
                 let power = device.power.deploy_watts + device.power.static_watts;
-                instruments.observe(placement.device, power, t);
+                self.instruments.observe(placement.device, power, t);
             }
         }
         // Deployment is concurrent: drain the completion events in time
         // order (each finish stamped when its pull actually ends), then
         // advance the clock by the wave's longest pull.
-        let wave_start = *clock;
+        let wave_start = self.clock;
         let mut wave_span = Seconds::ZERO;
         while let Some((t, id)) = completions.next() {
             wave_span = wave_span.max(t);
             let ms = app.microservice(id);
-            trace.record(
+            self.trace.record(
                 wave_start + t,
                 TraceKind::DeploymentFinished,
                 schedule.placement(id).device,
                 &ms.name,
             );
         }
-        *clock += wave_span;
+        self.clock += wave_span;
 
         // ---- Execution: stage members sequential (non-concurrent). -----
         for &id in wave {
             let ms = app.microservice(id);
             let placement = schedule.placement(id);
-            let device = &devices[placement.device.0];
+            let device = testbed.device(placement.device);
 
             // Tc: receive every incoming dataflow; co-located producers
             // transfer over loopback (free).
             let mut transfer = Seconds::ZERO;
             for flow in app.incoming(id) {
                 let from_dev = schedule.placement(flow.from).device;
-                let t = topology
+                let t = testbed
+                    .topology
                     .device_transfer_time(from_dev, placement.device, flow.size)
                     .expect("testbed topology covers all devices");
                 transfer += t;
             }
-            let transfer = jitter.apply(transfer);
-            trace.record(*clock, TraceKind::TransferStarted, placement.device, &ms.name);
-            *clock += transfer;
-            trace.record(*clock, TraceKind::TransferFinished, placement.device, &ms.name);
+            let transfer = self.jitter.apply(transfer);
+            self.trace.record(self.clock, TraceKind::TransferStarted, placement.device, &ms.name);
+            self.clock += transfer;
+            self.trace.record(self.clock, TraceKind::TransferFinished, placement.device, &ms.name);
 
             // Tp. Device parameters are scoped by application because the
             // case studies share microservice names.
             let scoped = format!("{}/{}", app.name(), ms.name);
-            let proc = jitter.apply(device.processing_time(&scoped, ms.requirements.cpu));
-            trace.record(*clock, TraceKind::ProcessingStarted, placement.device, &ms.name);
-            *clock += proc;
-            trace.record(*clock, TraceKind::ProcessingFinished, placement.device, &ms.name);
+            let proc = self.jitter.apply(device.processing_time(&scoped, ms.requirements.cpu));
+            self.trace.record(self.clock, TraceKind::ProcessingStarted, placement.device, &ms.name);
+            self.clock += proc;
+            self.trace.record(
+                self.clock,
+                TraceKind::ProcessingFinished,
+                placement.device,
+                &ms.name,
+            );
 
             run.tc[id.0] = transfer;
             run.tp[id.0] = proc;
@@ -894,19 +640,19 @@ impl OnlineExecutor {
             // instrument across a window covering this microservice's
             // share. For per-microservice attribution we open the window
             // now and charge deployment separately below.
-            if cfg.instruments {
-                let snap = instruments.begin(placement.device);
-                instruments.observe(
+            if self.cfg.instruments {
+                let snap = self.instruments.begin(placement.device);
+                self.instruments.observe(
                     placement.device,
                     device.power.transfer_watts + device.power.static_watts,
                     transfer,
                 );
-                instruments.observe(
+                self.instruments.observe(
                     placement.device,
                     device.process_watts(&scoped) + device.power.static_watts,
                     proc,
                 );
-                let exec_energy = instruments.energy_since(placement.device, &snap);
+                let exec_energy = self.instruments.energy_since(placement.device, &snap);
                 // Deployment slice, analytic reconstruction of the metered
                 // wave share: (deploy + static) × td.
                 let deploy_energy =
@@ -914,20 +660,103 @@ impl OnlineExecutor {
                 run.metered[id.0] = exec_energy + deploy_energy;
             }
         }
-        trace.record(
-            *clock,
+        self.trace.record(
+            self.clock,
             TraceKind::StageBarrierReleased,
             DeviceId(0),
             &format!("stage-{wave_idx}"),
         );
         Ok(())
     }
+
+    /// Realise one wave pull of `id` into `cache` (the puller's cache,
+    /// taken out of `testbed` for the pull) through the shared mesh rule
+    /// [`Testbed::wave_mesh`], under this wave's route loads and the
+    /// puller's peer view. Under fault injection every source is wrapped
+    /// in its seeded [`PlannedFaults`], gated on the wave clock: the
+    /// primary draws its per-pull death, each peer holder its own churn,
+    /// and every other full registry rides along as a transient-only
+    /// standby failover target.
+    fn pull(
+        &mut self,
+        testbed: &Testbed,
+        app: &Application,
+        id: MicroserviceId,
+        placement: Placement,
+        cache: &mut LayerCache,
+    ) -> Result<PullOutcome, ExecError> {
+        let ms = app.microservice(id);
+        let entry = testbed.entry(app.name(), &ms.name).ok_or_else(|| ExecError::UnknownImage {
+            application: app.name().to_string(),
+            microservice: ms.name.clone(),
+        })?;
+        let device = testbed.device(placement.device);
+        let reference = testbed.reference(entry, placement.registry, device.arch);
+        let pull_idx = self.pull_counter;
+        self.pull_counter += 1;
+        let clock = self.clock;
+        let peers = self.peers.as_ref().map_or(&[][..], |p| p.view(placement.device.0));
+        // Fault wrappers, declared before the mesh that borrows them: one
+        // per full registry (the placement's as primary, the rest as
+        // survivors) and one per peer holder.
+        let (registries, holders) = match &self.fault_plan {
+            Some(plan) => (
+                testbed
+                    .registry_choices()
+                    .into_iter()
+                    .map(|c| {
+                        let (backend, source) = (testbed.registry(c), c.registry_id());
+                        let wrapped = if c == placement.registry {
+                            PlannedFaults::primary(backend, plan, source, pull_idx)
+                        } else {
+                            PlannedFaults::survivor(backend, plan, source, pull_idx)
+                        };
+                        (c, wrapped.at(clock))
+                    })
+                    .collect(),
+                peers
+                    .iter()
+                    .map(|(source, src)| {
+                        PlannedFaults::holder(src, plan, *source, pull_idx).at(clock)
+                    })
+                    .collect(),
+            ),
+            None => (Vec::new(), Vec::new()),
+        };
+        let windows = self.fault_plan.as_ref().map_or(&[][..], FaultPlan::windows);
+        let mesh = testbed.wave_mesh(
+            placement,
+            peers,
+            self.fault_plan.is_some(),
+            |source| {
+                self.route_load.slowdown(&testbed.params, windows, clock, source, placement.device)
+            },
+            |c| match registries.iter().find(|(choice, _)| *choice == c) {
+                Some((_, wrapped)) => wrapped as &dyn Registry,
+                None => testbed.registry(c),
+            },
+            |k| match holders.get(k) {
+                Some(wrapped) => wrapped as &dyn BlobSource,
+                None => &peers[k].1,
+            },
+        );
+        let mut session =
+            PullSession::new(&mesh, placement.registry.registry_id()).extract_bw(device.extract_bw);
+        if self.fault_plan.is_some() {
+            // Injected transients are retried under the model's
+            // policy; with no injections attached retries change
+            // nothing (first attempts succeed, zero backoff).
+            session = session.with_retry(testbed.fault_model.retry);
+        }
+        self.trace.record(clock, TraceKind::DeploymentStarted, placement.device, &ms.name);
+        Ok(session.pull(&reference, device.arch, cache)?)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::Placement;
+    use crate::schedule::RegistryChoice;
     use crate::testbed::{DEVICE_MEDIUM, DEVICE_SMALL};
     use deep_dataflow::apps;
 

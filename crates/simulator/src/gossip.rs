@@ -48,17 +48,18 @@
 //! plane built on the clone-based exchange of
 //! [`deep_netsim::gossip::oracle`].
 
-use crate::testbed::peer_source_id;
+use crate::executor::PeerDiscovery;
+use crate::testbed::{peer_holder, peer_source_id, PeerPlane};
 use deep_netsim::gossip::GossipState;
 use deep_netsim::{DeviceId, RegistryId};
-use deep_registry::{BlobSource, LayerCache, PeerCacheSource};
+use deep_registry::{BlobSource, Digest, LayerCache, PeerCacheSource};
 
 /// A materialized mesh view, remembered until the gossip generation it
 /// was built under moves.
 type CachedView = Option<(u64, Vec<(RegistryId, PeerCacheSource)>)>;
 
 /// The fleet-wide gossip discovery plane: epidemic state plus the knobs
-/// of [`crate::executor::PeerDiscovery::Gossip`].
+/// of [`PeerDiscovery::Gossip`].
 #[derive(Debug, Clone)]
 pub struct GossipPlane {
     state: GossipState<PeerCacheSource>,
@@ -171,6 +172,112 @@ impl GossipPlane {
     }
 }
 
+/// One deployment wave's peer discovery: the single barrier step the
+/// scheduler's estimator and the executor both run, whichever
+/// [`PeerDiscovery`] mode is on.
+///
+/// [`PeerViews::new`] is the one place a [`PeerDiscovery`] becomes a
+/// discovery plane (none for the omniscient snapshot, a seeded
+/// [`GossipPlane`] for gossip). [`PeerViews::barrier`] advances it one
+/// wave barrier and materializes the per-device views the wave's pulls
+/// see, through [`PeerPlane::snapshot`] or [`GossipPlane::mesh_view`].
+/// The estimator asks for every device (it prices counterfactual
+/// placements anywhere), the executor only for the wave's targets. The
+/// chaos path's evictions come back through [`PeerViews::evicted`], so a
+/// gossip plane never misses an out-of-band cache change.
+#[derive(Debug, Clone, Default)]
+pub struct PeerViews {
+    /// The epidemic plane under [`PeerDiscovery::Gossip`].
+    gossip: Option<GossipPlane>,
+    /// `views[j]`: the peer sources device `j`'s pulls see this wave
+    /// (empty for devices that were not asked for).
+    views: Vec<Vec<(RegistryId, PeerCacheSource)>>,
+}
+
+impl PeerViews {
+    /// The discovery plane of `discovery` over `devices` devices; `seed`
+    /// seeds the gossip partner schedule (the executor's
+    /// [`crate::ExecutorConfig::seed`] — an estimator must pass the same
+    /// seed to see the same views).
+    pub fn new(discovery: PeerDiscovery, devices: usize, seed: u64) -> Self {
+        let gossip = match discovery {
+            PeerDiscovery::Snapshot => None,
+            PeerDiscovery::Gossip { fanout, view_size, rounds_per_wave } => {
+                Some(GossipPlane::new(devices, fanout, view_size, rounds_per_wave, seed))
+            }
+        };
+        PeerViews { gossip, views: Vec::new() }
+    }
+
+    /// The wave barrier: peers advertise what they hold as the wave
+    /// begins (one [`GossipPlane::barrier_round`] under gossip; the
+    /// snapshot catalog needs no step), then the views of `targets` are
+    /// materialized from `caches` (`caches[j]` = device `j`'s layer
+    /// cache). Every other device's view is left empty.
+    pub fn barrier(
+        &mut self,
+        plane: &PeerPlane,
+        caches: &[&LayerCache],
+        targets: impl IntoIterator<Item = usize>,
+    ) {
+        if let Some(gossip) = self.gossip.as_mut() {
+            gossip.barrier_round(caches);
+        }
+        self.refresh(plane, caches, targets);
+    }
+
+    /// Materialize the views of `targets` without advancing discovery —
+    /// what an estimator sees before its first barrier (gossip views are
+    /// empty until a barrier runs).
+    pub fn refresh(
+        &mut self,
+        plane: &PeerPlane,
+        caches: &[&LayerCache],
+        targets: impl IntoIterator<Item = usize>,
+    ) {
+        self.views.resize_with(caches.len(), Vec::new);
+        for view in &mut self.views {
+            view.clear();
+        }
+        for j in targets {
+            self.views[j] = match self.gossip.as_mut() {
+                Some(gossip) => gossip.mesh_view(caches, j),
+                None => plane.snapshot(caches, j),
+            };
+        }
+    }
+
+    /// The peer sources `device`'s pulls see this wave.
+    pub fn view(&self, device: usize) -> &[(RegistryId, PeerCacheSource)] {
+        self.views.get(device).map_or(&[], Vec::as_slice)
+    }
+
+    /// `holder` evicted `evicted` out of band (chaos cache pressure). The
+    /// holder's source in every in-flight view loses those layers, so
+    /// pulls planned against the stale advertisement fail over instead
+    /// of serving vanished bytes. Under gossip the holder re-advertises
+    /// its shrunk `cache` at once (an epoch bump), so the stale
+    /// advertisement ages out of remote views as later rounds spread the
+    /// fresh one.
+    pub fn evicted(&mut self, holder: DeviceId, evicted: &[Digest], cache: &LayerCache) {
+        if evicted.is_empty() {
+            return;
+        }
+        for view in &mut self.views {
+            for (id, source) in view.iter_mut() {
+                if peer_holder(*id) == Some(holder) {
+                    for digest in evicted {
+                        source.retract(digest);
+                    }
+                }
+            }
+        }
+        if let Some(gossip) = self.gossip.as_mut() {
+            gossip.readvertise(holder, cache);
+        }
+    }
+}
+
 /// The barrier's advertise rule: a device re-advertises when its cache
 /// no longer matches its own last advertisement (or it never published
 /// one).
@@ -229,10 +336,8 @@ fn materialize<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testbed::PeerPlane;
     use deep_netsim::gossip::oracle;
     use deep_netsim::{Bandwidth, DataSize, Seconds};
-    use deep_registry::Digest;
 
     fn digest(tag: u8) -> Digest {
         Digest::of(&[tag])

@@ -10,7 +10,10 @@
 //!   per-microservice architecture factors, memory/storage, per-phase power
 //!   models, layer cache, extraction bandwidth;
 //! * [`testbed`] — the two-device, two-registry testbed of Section IV with
-//!   calibrated link parameters;
+//!   calibrated link parameters, plus the wave decisions the scheduler's
+//!   estimator shares with the executor: the pull-mesh rule
+//!   ([`Testbed::wave_mesh`]) and the route-contention ledger
+//!   ([`RouteLoads`]);
 //! * [`schedule`] — the assignment type produced by schedulers and consumed
 //!   by the executor: per-microservice `(registry, device)`;
 //! * [`executor`] — runs an application under a schedule: staged
@@ -22,7 +25,8 @@
 //!   [`Testbed::fault_model`](testbed::Testbed::fault_model) — dead
 //!   primaries fail over onto standby mesh sources, transient bursts
 //!   retry under the model's policy;
-//! * [`gossip`] — the decentralized discovery plane
+//! * [`gossip`] — the shared wave-barrier discovery step ([`PeerViews`])
+//!   and the decentralized discovery plane
 //!   ([`GossipPlane`]): epoch-versioned holder advertisements spread by
 //!   seeded epidemic rounds at every wave barrier, bounded per-pull
 //!   views ([`executor::PeerDiscovery::Gossip`]), and stale-ad
@@ -54,12 +58,13 @@ pub use executor::{
     execute, execute_with_events, plan_waves, validate_schedule, ExecError, ExecutorConfig, JobRun,
     OnlineExecutor, PeerDiscovery,
 };
-pub use gossip::GossipPlane;
+pub use gossip::{GossipPlane, PeerViews};
 pub use jitter::Jitter;
 pub use metrics::{MicroserviceMetrics, RunReport};
 pub use schedule::{Placement, RegistryChoice, Schedule};
 pub use testbed::{
-    peer_holder, peer_source_id, route_key, PeerPlane, RegionalMirror, Testbed, TestbedParams,
-    DEVICE_CLOUD, DEVICE_MEDIUM, DEVICE_SMALL, REGISTRY_MIRROR_BASE, REGISTRY_PEER_BASE,
+    peer_holder, peer_source_id, route_key, PeerPlane, RegionalMirror, RouteLoads, Testbed,
+    TestbedParams, DEVICE_CLOUD, DEVICE_MEDIUM, DEVICE_SMALL, REGISTRY_MIRROR_BASE,
+    REGISTRY_PEER_BASE,
 };
 pub use trace::{Trace, TraceEvent, TraceKind};

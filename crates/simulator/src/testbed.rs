@@ -24,13 +24,13 @@
 //! device's uplink (see [`route_key`]).
 
 use crate::device::SimDevice;
-use crate::schedule::RegistryChoice;
+use crate::schedule::{Placement, RegistryChoice};
 use deep_dataflow::{Application, Mips};
 use deep_energy::{DevicePowerModel, Watts};
 use deep_netsim::{Bandwidth, DataSize, DeviceId, RegistryId, Seconds, Topology, TopologyBuilder};
 use deep_registry::{
-    CatalogEntry, FaultModel, HubRegistry, LayerCache, PeerCacheSource, Platform, Reference,
-    RegionalRegistry, Registry, RegistryMesh, SourceParams,
+    BlobSource, CatalogEntry, FaultModel, HubRegistry, LayerCache, OutageWindow, PeerCacheSource,
+    Platform, PullOutcome, Reference, RegionalRegistry, Registry, RegistryMesh, SourceParams,
 };
 use std::collections::HashMap;
 
@@ -65,11 +65,10 @@ pub fn peer_holder(source: RegistryId) -> Option<DeviceId> {
 }
 
 /// The contention resource a pull's bytes from `source` onto `pulling`
-/// actually occupy — the key of the executor's and estimator's shared
-/// `route_load` map:
+/// actually occupy — the key of [`RouteLoads`]:
 ///
 /// * registry/mirror sources contend per `(source, pulling device)`
-///   download route (the PR 3 scheme);
+///   download route;
 /// * per-holder peer sources contend on the *serving* device's uplink
 ///   NIC, `(source, holder)` — one resource regardless of who pulls, so
 ///   a hot peer serving several same-wave devices divides its uplink
@@ -78,6 +77,100 @@ pub fn route_key(source: RegistryId, pulling: DeviceId) -> (RegistryId, usize) {
     match peer_holder(source) {
         Some(holder) => (source, holder.0),
         None => (source, pulling.0),
+    }
+}
+
+/// Same-wave route contention: the one load ledger the scheduler's
+/// estimator and the executor both keep. Commits and realised pulls
+/// charge it through [`RouteLoads::charge_pull`]; every mesh source reads
+/// its slowdown through [`RouteLoads::slowdown`]; a wave barrier
+/// [`clear`](RouteLoads::clear)s it.
+///
+/// Keys are [`route_key`]s. Registry sources get one dense per-device
+/// lane each (the pulling device indexes it); peer sources share one lane
+/// indexed by holder, since a peer id names its holder. A read is one
+/// shard lookup plus an array index, with no per-candidate key hashing,
+/// and the ledger is `&self`-shareable across the rayon workers pricing
+/// different devices of one wave. Lanes are created on first charge and
+/// *zeroed, not dropped* at barriers (`clear` walks the charged keys
+/// only), so steady-state waves allocate nothing.
+#[derive(Debug, Clone, Default)]
+pub struct RouteLoads {
+    /// Per-registry lane vectors, `lane[pulling device] = same-wave load`.
+    shards: HashMap<RegistryId, Vec<usize>>,
+    /// Per-holder uplink loads of the peer sources (`peers[holder]`).
+    peers: Vec<usize>,
+    /// Keys charged since the last clear (0→1 transitions only), for
+    /// O(charged) barrier resets without deallocating lanes.
+    touched: Vec<(RegistryId, usize)>,
+    /// Lane length: one slot per testbed device.
+    slots: usize,
+}
+
+impl RouteLoads {
+    /// Empty load state for a testbed with `slots` devices.
+    pub fn new(slots: usize) -> Self {
+        RouteLoads { shards: HashMap::new(), peers: Vec::new(), touched: Vec::new(), slots }
+    }
+
+    /// The load on one contention resource (0 when never charged).
+    fn get(&self, key: (RegistryId, usize)) -> usize {
+        debug_assert!(key.1 < self.slots, "device slot out of range");
+        if peer_holder(key.0).is_some() {
+            return self.peers.get(key.1).copied().unwrap_or(0);
+        }
+        self.shards.get(&key.0).map_or(0, |lane| lane[key.1])
+    }
+
+    fn lane_mut(&mut self, key: (RegistryId, usize)) -> &mut usize {
+        debug_assert!(key.1 < self.slots, "device slot out of range");
+        let lane = if peer_holder(key.0).is_some() {
+            self.peers.resize(self.slots, 0);
+            &mut self.peers
+        } else {
+            self.shards.entry(key.0).or_insert_with(|| vec![0; self.slots])
+        };
+        &mut lane[key.1]
+    }
+
+    /// Charge a realised (or committed) pull: each of its per-source
+    /// buckets that moved at least `params.contention_threshold` loads
+    /// its own contention resource — registry buckets their download
+    /// route onto `device`, peer buckets the serving holder's uplink.
+    pub fn charge_pull(&mut self, params: &TestbedParams, outcome: &PullOutcome, device: DeviceId) {
+        for bucket in &outcome.per_source {
+            if bucket.downloaded >= params.contention_threshold {
+                let key = route_key(bucket.source, device);
+                let load = self.lane_mut(key);
+                *load += 1;
+                if *load == 1 {
+                    self.touched.push(key);
+                }
+            }
+        }
+    }
+
+    /// The bandwidth slowdown `source` shows `device` this wave: the
+    /// contention factor of its resource's load times the scripted
+    /// degradation of `windows` at `clock` (×1.0 outside every window and
+    /// for an empty slice — a bit-exact identity).
+    pub fn slowdown(
+        &self,
+        params: &TestbedParams,
+        windows: &[OutageWindow],
+        clock: Seconds,
+        source: RegistryId,
+        device: DeviceId,
+    ) -> f64 {
+        params.contention_factor(self.get(route_key(source, device)))
+            * OutageWindow::slowdown_in(windows, source, clock)
+    }
+
+    /// Wave barrier: zero every charged slot, keeping the lanes.
+    pub fn clear(&mut self) {
+        while let Some(key) = self.touched.pop() {
+            *self.lane_mut(key) = 0;
+        }
     }
 }
 
@@ -303,33 +396,6 @@ impl RegionalMirror {
             download_bw: self.download_bw,
             overhead: self.overhead,
         }
-    }
-}
-
-/// Route parameters for any mesh source, over split borrows: the executor
-/// destructures the testbed (devices mutably, the rest shared), so this
-/// logic lives where both it and [`Testbed::source_params`] can call it —
-/// the estimator/executor bit-for-bit parity contract depends on there
-/// being exactly one copy.
-pub(crate) fn source_params_for(
-    mirrors: &[RegionalMirror],
-    peer_plane: &PeerPlane,
-    params: &TestbedParams,
-    choice: RegistryChoice,
-    device: DeviceId,
-    slowdown: f64,
-) -> SourceParams {
-    if let Some(holder) = peer_holder(choice.registry_id()) {
-        return SourceParams {
-            download_bw: peer_plane.bandwidth(holder, device).scale(1.0 / slowdown),
-            overhead: peer_plane.holder_overhead(holder),
-        };
-    }
-    match mirrors.iter().find(|m| m.choice == choice) {
-        Some(m) => {
-            SourceParams { download_bw: m.download_bw.scale(1.0 / slowdown), overhead: m.overhead }
-        }
-        None => params.source_params(choice, device, slowdown),
     }
 }
 
@@ -664,9 +730,14 @@ impl Testbed {
     /// only — the paper pair plus any mirrors; peer caches cannot resolve
     /// manifests and ride along via `peer_sharing` instead).
     pub fn registry_choices(&self) -> Vec<RegistryChoice> {
-        let mut out = vec![RegistryChoice::Hub, RegistryChoice::Regional];
-        out.extend(self.mirrors.iter().map(|m| m.choice));
-        out
+        self.full_registries().collect()
+    }
+
+    /// [`Testbed::registry_choices`] without the allocation.
+    fn full_registries(&self) -> impl Iterator<Item = RegistryChoice> + '_ {
+        [RegistryChoice::Hub, RegistryChoice::Regional]
+            .into_iter()
+            .chain(self.mirrors.iter().map(|m| m.choice))
     }
 
     /// The mirror registered under `choice`, if any.
@@ -684,7 +755,19 @@ impl Testbed {
         device: DeviceId,
         slowdown: f64,
     ) -> SourceParams {
-        source_params_for(&self.mirrors, &self.peer_plane, &self.params, choice, device, slowdown)
+        if let Some(holder) = peer_holder(choice.registry_id()) {
+            return SourceParams {
+                download_bw: self.peer_plane.bandwidth(holder, device).scale(1.0 / slowdown),
+                overhead: self.peer_plane.holder_overhead(holder),
+            };
+        }
+        match self.mirror(choice) {
+            Some(m) => SourceParams {
+                download_bw: m.download_bw.scale(1.0 / slowdown),
+                overhead: m.overhead,
+            },
+            None => self.params.source_params(choice, device, slowdown),
+        }
     }
 
     /// The serving bandwidth of one `(serving, pulling)` peer pair.
@@ -742,22 +825,66 @@ impl Testbed {
     }
 
     /// A single-source mesh for pulling from `registry` onto `device`,
-    /// with the route slowed by `slowdown` (contention factor ≥ 1). This
-    /// is the seed pull path expressed through the mesh API — schedulers
-    /// estimate against it and the executor realises it, so predictions
-    /// and measurements agree bit for bit.
+    /// with the route slowed by `slowdown` (contention factor ≥ 1): the
+    /// seed pull path expressed through the mesh API, i.e.
+    /// [`Testbed::wave_mesh`] with no peers and no standbys.
     pub fn pull_mesh(
         &self,
         registry: RegistryChoice,
         device: DeviceId,
         slowdown: f64,
     ) -> RegistryMesh<'_> {
+        self.wave_mesh(
+            Placement { registry, device },
+            &[],
+            false,
+            |_| slowdown,
+            |choice| self.registry(choice),
+            |_| unreachable!("a peerless mesh has no peer sources"),
+        )
+    }
+
+    /// The mesh one wave pull runs through: the single membership rule
+    /// the scheduler's estimator and the executor share.
+    ///
+    /// Members, in registration order: the placement's registry as
+    /// primary; one blob source per entry of the puller's peer view
+    /// `peers` (the wave's discovery result, see [`crate::PeerViews`]);
+    /// and, with `standbys`, every other full registry as a failover-only
+    /// standby (planned only once the primary is dead, so the happy
+    /// branch is untouched). Every member's [`SourceParams`] come from
+    /// [`Testbed::source_params`] slowed by `slowdown(id)` — in practice
+    /// [`RouteLoads::slowdown`].
+    ///
+    /// The caller only attaches backends: `registry` hands out the full
+    /// registry behind a primary or standby choice, `peer(k)` the source
+    /// behind `peers[k]`. The estimator attaches the raw registries and
+    /// peer sources; a fault-injecting executor attaches its seeded
+    /// wrappers around the same sources.
+    pub fn wave_mesh<'a>(
+        &self,
+        placement: Placement,
+        peers: &[(RegistryId, PeerCacheSource)],
+        standbys: bool,
+        slowdown: impl Fn(RegistryId) -> f64,
+        registry: impl Fn(RegistryChoice) -> &'a dyn Registry,
+        peer: impl Fn(usize) -> &'a dyn BlobSource,
+    ) -> RegistryMesh<'a> {
+        let Placement { registry: primary, device } = placement;
         let mut mesh = RegistryMesh::new();
-        mesh.add_registry(
-            registry.registry_id(),
-            self.registry(registry),
-            self.source_params(registry, device, slowdown),
-        );
+        let id = primary.registry_id();
+        mesh.add_registry(id, registry(primary), self.source_params(primary, device, slowdown(id)));
+        for (k, &(id, _)) in peers.iter().enumerate() {
+            let params = self.source_params(RegistryChoice::mesh(id), device, slowdown(id));
+            mesh.add_blob_source(id, peer(k), params);
+        }
+        if standbys {
+            for choice in self.full_registries().filter(|&c| c != primary) {
+                let id = choice.registry_id();
+                let params = self.source_params(choice, device, slowdown(id));
+                mesh.add_standby_registry(id, registry(choice), params);
+            }
+        }
         mesh
     }
 

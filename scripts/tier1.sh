@@ -3,7 +3,8 @@
 # full test suite, the benchmark's smoke test, a compile check of every
 # criterion bench, and a smoke-run of every example so the sweeps (registry_sweep's
 # mesh/N-regional scenarios and friends, fault_sweep's failure-rate ×
-# registry-count grid) cannot silently rot.
+# registry-count grid) cannot silently rot. It ends with the simplicity
+# ledger (scripts/loc.sh), printed for information only.
 #
 # Randomized suites stay deterministic in CI: the vendored proptest
 # seeds every case from the test name (no ambient RNG), and the
@@ -80,5 +81,10 @@ echo "==> arrival plane smoke (online admissions + incremental repair)"
 # (covered by the loop above); this pass re-runs it explicitly so the
 # checked-in arrival fixture stays wired to the example entry point.
 cargo run --quiet --release --example arrival_runner -- scenarios/arrival_soak.toml >/dev/null
+
+echo "==> simplicity ledger (informational, never fails)"
+# Non-vendored Rust lines per crate (production vs test) and the public
+# knob count: the design-quality results ROADMAP tracks across changes.
+scripts/loc.sh || true
 
 echo "tier-1 OK"
